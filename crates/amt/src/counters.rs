@@ -76,9 +76,13 @@ impl Counter {
 
     /// Re-baseline so subsequent reads report only the delta from now on —
     /// the `reset_all(busy_time)` step at the end of a load-balancing
-    /// iteration (Algorithm 1, line 35).
-    pub fn reset(&self) {
-        self.baseline.store(self.absolute(), Ordering::Relaxed);
+    /// iteration (Algorithm 1, line 35). Returns the value the counter
+    /// read at the reset, i.e. the window it closes, so callers can keep
+    /// a whole-run total without losing what accrues between a separate
+    /// read and the reset.
+    pub fn reset(&self) -> u64 {
+        let now = self.absolute();
+        now.saturating_sub(self.baseline.swap(now, Ordering::Relaxed))
     }
 }
 
@@ -183,7 +187,7 @@ mod tests {
     fn reset_rebaselines() {
         let c = Counter::raw();
         c.add(100);
-        c.reset();
+        assert_eq!(c.reset(), 100);
         assert_eq!(c.read(), 0);
         c.add(3);
         assert_eq!(c.read(), 3);

@@ -24,7 +24,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Per-worker steal telemetry (one cache line per worker).
-#[derive(Default)]
 struct StealStats {
     /// Successful steals (injector batches + peer-deque batches).
     steals: AtomicU64,
@@ -34,6 +33,19 @@ struct StealStats {
     parks: AtomicU64,
     /// The worker's current adaptive batch bound (a gauge, not a count).
     chunk: AtomicU64,
+}
+
+impl StealStats {
+    /// Zero counts, and the chunk gauge at the bound every worker starts
+    /// from, so it reads in range before the worker first runs.
+    fn new() -> Self {
+        StealStats {
+            steals: AtomicU64::new(0),
+            failed_scans: AtomicU64::new(0),
+            parks: AtomicU64::new(0),
+            chunk: AtomicU64::new(1),
+        }
+    }
 }
 
 struct PoolInner {
@@ -86,7 +98,7 @@ impl ThreadPool {
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
             steal_stats: (0..n_workers)
-                .map(|_| CachePadded::new(StealStats::default()))
+                .map(|_| CachePadded::new(StealStats::new()))
                 .collect(),
             executed: AtomicU64::new(0),
             panics: AtomicU64::new(0),
@@ -333,7 +345,6 @@ fn find_task(
 
 fn worker_loop(inner: Arc<PoolInner>, local: Worker<Task>, me: usize) {
     let mut chunk = 1usize;
-    inner.steal_stats[me].chunk.store(1, Ordering::Relaxed);
     loop {
         match find_task(&inner, &local, me, &mut chunk) {
             Some(task) => {
@@ -463,6 +474,14 @@ mod tests {
         // whiffed yet — just exercise the getters).
         let _ = pool.steal_fails_total();
         let _ = pool.parks_total();
+    }
+
+    #[test]
+    fn steal_chunk_gauge_in_range_before_workers_run() {
+        let pool = ThreadPool::new(4, "t");
+        for w in 0..pool.n_workers() {
+            assert!((1..=MAX_STEAL_CHUNK as u64).contains(&pool.steal_chunk(w)));
+        }
     }
 
     #[test]

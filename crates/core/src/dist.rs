@@ -161,7 +161,8 @@ pub struct DistReport {
     pub field: Vec<f64>,
     /// Final SD ownership.
     pub final_ownership: Ownership,
-    /// Per-locality busy nanoseconds (since the last counter reset).
+    /// Per-locality busy nanoseconds over the whole run (every
+    /// balancing window plus the tail after the last epoch).
     pub busy_ns: Vec<u64>,
     /// Total SDs migrated by load balancing.
     pub migrations: usize,
@@ -520,6 +521,10 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     let mut tile_pool: Vec<Tile> = Vec::new();
     let mut error_partials = Vec::with_capacity(cfg.n_steps);
     let mut in_migrations = 0usize;
+    // Busy time of the balancing windows already closed: every epoch
+    // resets the busy counter, so the report adds each window to this
+    // total as it closes and the tail since the last epoch at the end.
+    let mut busy_closed_ns = 0u64;
     let mut lb_counts: Vec<Vec<usize>> = Vec::new();
     let mut lb_plans: Vec<Vec<Move>> = Vec::new();
     let mut lb_traces: Vec<EpochTrace> = Vec::new();
@@ -1027,7 +1032,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
             window_ghost_ns = 0;
             // Algorithm 1 line 35: reset the busy-time counters so the next
             // epoch measures a fresh interval.
-            loc.busy_counter().reset();
+            busy_closed_ns += loc.busy_counter().reset();
             if me == 0 {
                 prev_window_secs = Some(window_t0.elapsed().as_secs_f64());
                 window_t0 = Instant::now();
@@ -1053,10 +1058,14 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         })
         .collect();
     sd_fields.sort_by_key(|(sd, _)| *sd);
+    // A worker books a task's busy time just after the task signals
+    // completion: wait for the pool to drain so the tail read below
+    // includes the last step's tasks.
+    loc.wait_idle();
     NodeReport {
         sd_fields,
         error_partials,
-        busy_ns: loc.busy_time_ns(),
+        busy_ns: busy_closed_ns + loc.busy_time_ns(),
         in_migrations,
         ghost_bytes,
         inter_rack_ghost_bytes,
@@ -1149,6 +1158,23 @@ mod tests {
         cfg.intra_step_stealing = true;
         let report = run_distributed(&cluster, &cfg);
         assert_eq!(report.field, serial_field(16, 2.0, 4));
+    }
+
+    #[test]
+    fn busy_ns_covers_every_balancing_window() {
+        // Balancing every 2 of 12 steps resets the busy counter five
+        // times; the report must still cover the whole run — exactly the
+        // busy time the fresh cluster's pools booked.
+        let cluster = ClusterBuilder::new().uniform(2, 1).build();
+        let mut cfg = DistConfig::new(32, 2.0, 4, 12);
+        cfg.lb = Some(LbSchedule::every(2));
+        let report = run_distributed(&cluster, &cfg);
+        let pools: Vec<u64> = cluster
+            .localities()
+            .iter()
+            .map(|loc| loc.pool().busy_ns_total())
+            .collect();
+        assert_eq!(report.busy_ns, pools);
     }
 
     #[test]

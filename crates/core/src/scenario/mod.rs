@@ -814,7 +814,7 @@ pub enum RunExtras {
 pub struct DistExtras {
     /// Wall time of the whole run.
     pub elapsed: Duration,
-    /// Per-locality busy nanoseconds (raw counter values).
+    /// Per-locality busy nanoseconds over the whole run.
     pub busy_ns: Vec<u64>,
     /// Messages the fabric actually carried (ghosts + LB protocol +
     /// migrations).

@@ -48,41 +48,73 @@ pub fn heavy_edge_matching(g: &Csr, rng: &mut impl Rng) -> Vec<u32> {
 
 /// Contract a matching into a coarse graph. Matched pairs merge vertex
 /// weights; parallel edges merge edge weights; intra-pair edges vanish.
+/// Rows come out sorted by neighbour, as [`Csr::from_edges`] stores them.
 pub fn contract(g: &Csr, mate: &[u32]) -> CoarseLevel {
+    let CoarseLevel { graph, map } = contract_fast(g, mate);
+    let sorted = Csr::from_rows(graph.vwgt.clone(), |c, row| row.extend(graph.neighbors(c)));
+    CoarseLevel { graph: sorted, map }
+}
+
+/// [`contract`] without the final row sort: every coarse vertex has at
+/// most two fine members, so one dense scratch row accumulates its coarse
+/// neighbour weights in O(degree), and each row lists its neighbours in
+/// first-seen order. The cluster-scale repartitioner coarsens on these
+/// rows directly.
+pub(crate) fn contract_fast(g: &Csr, mate: &[u32]) -> CoarseLevel {
     let n = g.n();
     let mut map = vec![u32::MAX; n];
-    let mut next = 0u32;
+    let mut members: Vec<(u32, u32)> = Vec::with_capacity(n);
     for v in 0..n as u32 {
         if map[v as usize] != u32::MAX {
             continue;
         }
         let m = mate[v as usize];
-        map[v as usize] = next;
-        map[m as usize] = next; // m == v for unmatched vertices
-        next += 1;
+        let c = members.len() as u32;
+        map[v as usize] = c;
+        map[m as usize] = c; // m == v for unmatched vertices
+        members.push((v, m));
     }
-    let nc = next as usize;
+    let nc = members.len();
     let mut vwgt = vec![0i64; nc];
     for v in 0..n {
         vwgt[map[v] as usize] += g.vwgt[v];
     }
-    // Accumulate coarse edges.
-    let mut edges = std::collections::HashMap::new();
-    for v in 0..n as u32 {
-        let cv = map[v as usize];
-        for (u, w) in g.neighbors(v) {
-            let cu = map[u as usize];
-            if cu != cv {
-                let key = (cv.min(cu), cv.max(cu));
-                *edges.entry(key).or_insert(0i64) += w;
+    let mut xadj = Vec::with_capacity(nc + 1);
+    let mut adjncy: Vec<u32> = Vec::new();
+    let mut adjwgt: Vec<i64> = Vec::new();
+    let mut slot = vec![usize::MAX; nc];
+    xadj.push(0usize);
+    for (c, &(a, b)) in members.iter().enumerate() {
+        let row_start = adjncy.len();
+        let fine = if a == b { [a, a] } else { [a, b] };
+        let take = if a == b { 1 } else { 2 };
+        for &v in fine.iter().take(take) {
+            for (u, w) in g.neighbors(v) {
+                let cu = map[u as usize];
+                if cu as usize == c {
+                    continue; // intra-pair edge vanishes
+                }
+                if slot[cu as usize] == usize::MAX {
+                    slot[cu as usize] = adjncy.len();
+                    adjncy.push(cu);
+                    adjwgt.push(w);
+                } else {
+                    adjwgt[slot[cu as usize]] += w;
+                }
             }
         }
+        for &cu in &adjncy[row_start..] {
+            slot[cu as usize] = usize::MAX;
+        }
+        xadj.push(adjncy.len());
     }
-    // Each undirected fine edge visited twice -> halve.
-    let edge_list: Vec<(u32, u32, i64)> =
-        edges.into_iter().map(|((a, b), w)| (a, b, w / 2)).collect();
     CoarseLevel {
-        graph: Csr::from_edges(nc, &edge_list, vwgt),
+        graph: Csr {
+            xadj,
+            adjncy,
+            adjwgt,
+            vwgt,
+        },
         map,
     }
 }
@@ -90,16 +122,28 @@ pub fn contract(g: &Csr, mate: &[u32]) -> CoarseLevel {
 /// Coarsen until at most `target_n` vertices remain or progress stalls.
 /// Returns the chain of levels, finest first.
 pub fn coarsen_to(g: &Csr, target_n: usize, rng: &mut impl Rng) -> Vec<CoarseLevel> {
-    let mut levels = Vec::new();
-    let mut current = g.clone();
-    while current.n() > target_n {
-        let mate = heavy_edge_matching(&current, rng);
-        let level = contract(&current, &mate);
+    coarsen_with(g, target_n, rng, contract)
+}
+
+/// [`coarsen_to`] with the contraction step supplied by the caller.
+pub(crate) fn coarsen_with(
+    g: &Csr,
+    target_n: usize,
+    rng: &mut impl Rng,
+    contract: fn(&Csr, &[u32]) -> CoarseLevel,
+) -> Vec<CoarseLevel> {
+    let mut levels: Vec<CoarseLevel> = Vec::new();
+    loop {
+        let current = levels.last().map_or(g, |l| &l.graph);
+        if current.n() <= target_n {
+            break;
+        }
+        let mate = heavy_edge_matching(current, rng);
+        let level = contract(current, &mate);
         // Stall guard: matching too sparse to make progress.
         if level.graph.n() as f64 > current.n() as f64 * 0.95 {
             break;
         }
-        current = level.graph.clone();
         levels.push(level);
     }
     levels
@@ -208,6 +252,52 @@ mod tests {
             used[c as usize] = true;
         }
         assert!(used.iter().all(|&b| b));
+    }
+
+    /// `contract` equals the edge-list construction (every fine edge
+    /// mapped to its coarse endpoints, folded by `Csr::from_edges`), and
+    /// `contract_fast` holds the same rows before their sort.
+    #[test]
+    fn contract_fast_matches_contract() {
+        for (w, h) in [(9usize, 7usize), (1, 5), (6, 6)] {
+            let mut g = grid_graph(w, h);
+            // non-uniform (symmetric) edge and vertex weights
+            for v in 0..g.n() {
+                for e in g.xadj[v]..g.xadj[v + 1] {
+                    let u = g.adjncy[e] as usize;
+                    g.adjwgt[e] = 1 + (v.min(u) * 7 + v.max(u) * 3) as i64 % 11;
+                }
+                g.vwgt[v] = 1 + v as i64 % 3;
+            }
+            for seed in 0..4 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mate = heavy_edge_matching(&g, &mut rng);
+                let slow = contract(&g, &mate);
+                let fast = contract_fast(&g, &mate);
+                let mut edges = Vec::new();
+                let mut vwgt = vec![0i64; slow.graph.n()];
+                for v in 0..g.n() as u32 {
+                    let cv = slow.map[v as usize];
+                    vwgt[cv as usize] += g.vwgt[v as usize];
+                    for (u, w) in g.neighbors(v) {
+                        let cu = slow.map[u as usize];
+                        if v < u && cv != cu {
+                            edges.push((cv, cu, w));
+                        }
+                    }
+                }
+                let reference = Csr::from_edges(slow.graph.n(), &edges, vwgt);
+                assert_eq!(slow.graph, reference, "{w}x{h} seed {seed}");
+                assert_eq!(fast.map, slow.map);
+                assert_eq!(fast.graph.vwgt, slow.graph.vwgt);
+                assert_eq!(fast.graph.xadj, slow.graph.xadj);
+                for v in 0..fast.graph.n() as u32 {
+                    let mut row: Vec<_> = fast.graph.neighbors(v).collect();
+                    row.sort_unstable();
+                    assert_eq!(row, slow.graph.neighbors(v).collect::<Vec<_>>());
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,28 +47,64 @@ impl Csr {
     /// Build from an undirected edge list `(u, v, weight)`; duplicate edges
     /// have their weights summed, self-loops are rejected.
     ///
+    /// A two-pass counting sort: the first pass sizes every row, the
+    /// second scatters both orientations of each edge into its rows, and
+    /// each row is then sorted by neighbour with repeats folded — O(E)
+    /// plus the per-row sorts, with no hashing.
+    ///
     /// # Panics
     /// Panics on self-loops or out-of-range endpoints.
     pub fn from_edges(n: usize, edges: &[(u32, u32, i64)], vwgt: Vec<i64>) -> Self {
         assert_eq!(vwgt.len(), n);
-        use std::collections::HashMap;
-        let mut adj: Vec<HashMap<u32, i64>> = vec![HashMap::new(); n];
-        for &(u, v, w) in edges {
+        let mut start = vec![0usize; n + 1];
+        for &(u, v, _) in edges {
             assert_ne!(u, v, "self-loop on vertex {u}");
             assert!((u as usize) < n && (v as usize) < n, "edge out of range");
-            *adj[u as usize].entry(v).or_insert(0) += w;
-            *adj[v as usize].entry(u).or_insert(0) += w;
+            start[u as usize + 1] += 1;
+            start[v as usize + 1] += 1;
         }
-        let mut xadj = Vec::with_capacity(n + 1);
-        let mut adjncy = Vec::new();
-        let mut adjwgt = Vec::new();
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut cursor = start.clone();
+        let mut pairs = vec![(0u32, 0i64); 2 * edges.len()];
+        for &(u, v, w) in edges {
+            pairs[cursor[u as usize]] = (v, w);
+            cursor[u as usize] += 1;
+            pairs[cursor[v as usize]] = (u, w);
+            cursor[v as usize] += 1;
+        }
+        Csr::from_rows(vwgt, |v, row| {
+            row.extend_from_slice(&pairs[start[v as usize]..start[v as usize + 1]]);
+        })
+    }
+
+    /// Build from per-vertex rows: `fill(v, row)` appends `v`'s
+    /// `(neighbour, weight)` entries to the (empty) `row`, in any order
+    /// and possibly repeated. Every row is stored sorted by neighbour with
+    /// repeated neighbours' weights summed — the row contract of
+    /// [`Csr::from_edges`]. The caller is responsible for symmetry.
+    pub(crate) fn from_rows(
+        vwgt: Vec<i64>,
+        mut fill: impl FnMut(u32, &mut Vec<(u32, i64)>),
+    ) -> Self {
+        let mut xadj = Vec::with_capacity(vwgt.len() + 1);
         xadj.push(0);
-        for nbrs in adj {
-            let mut sorted: Vec<_> = nbrs.into_iter().collect();
-            sorted.sort_unstable();
-            for (v, w) in sorted {
-                adjncy.push(v);
-                adjwgt.push(w);
+        let mut adjncy: Vec<u32> = Vec::new();
+        let mut adjwgt: Vec<i64> = Vec::new();
+        let mut row = Vec::new();
+        for v in 0..vwgt.len() as u32 {
+            row.clear();
+            fill(v, &mut row);
+            row.sort_unstable_by_key(|&(u, _)| u);
+            let row_start = adjncy.len();
+            for &(u, w) in &row {
+                if adjncy.len() > row_start && adjncy.last() == Some(&u) {
+                    *adjwgt.last_mut().expect("parallel to adjncy") += w;
+                } else {
+                    adjncy.push(u);
+                    adjwgt.push(w);
+                }
             }
             xadj.push(adjncy.len());
         }
@@ -196,6 +232,60 @@ mod tests {
     fn total_vwgt_sums() {
         let g = Csr::from_edges(3, &[(0, 1, 1)], vec![5, 7, 9]);
         assert_eq!(g.total_vwgt(), 21);
+    }
+
+    /// `from_edges` against a `BTreeMap` accumulation of the same edges
+    /// (the contract spelled out directly): random multigraphs with
+    /// repeated edges in both orientations and isolated vertices.
+    #[test]
+    fn from_edges_matches_ordered_map_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 1 + rng.gen_range(0..40);
+            // only the lower half of the ids carries edges, so the upper
+            // half stays isolated
+            let live = n.div_ceil(2);
+            let mut edges = Vec::new();
+            if live >= 2 {
+                for _ in 0..rng.gen_range(0..4 * n) {
+                    let u = rng.gen_range(0..live) as u32;
+                    let v = rng.gen_range(0..live) as u32;
+                    if u != v {
+                        let w = rng.gen_range(0..100) as i64 - 20;
+                        edges.push((u, v, w));
+                        if rng.gen_range(0..3) == 0 {
+                            edges.push((v, u, w + 1)); // repeat, reversed
+                        }
+                    }
+                }
+            }
+            let vwgt: Vec<i64> = (0..n as i64).collect();
+            let mut rows: Vec<BTreeMap<u32, i64>> = vec![BTreeMap::new(); n];
+            for &(u, v, w) in &edges {
+                *rows[u as usize].entry(v).or_insert(0) += w;
+                *rows[v as usize].entry(u).or_insert(0) += w;
+            }
+            let mut reference = Csr {
+                xadj: vec![0],
+                adjncy: Vec::new(),
+                adjwgt: Vec::new(),
+                vwgt: vwgt.clone(),
+            };
+            for row in rows {
+                for (v, w) in row {
+                    reference.adjncy.push(v);
+                    reference.adjwgt.push(w);
+                }
+                reference.xadj.push(reference.adjncy.len());
+            }
+            let g = Csr::from_edges(n, &edges, vwgt);
+            assert_eq!(g, reference, "seed {seed}");
+            g.validate().unwrap();
+            assert!((live..n).all(|v| g.degree(v as u32) == 0));
+        }
     }
 
     #[test]

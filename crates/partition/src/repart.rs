@@ -5,9 +5,10 @@
 //! `LbSpec::Repartition` escape hatch) asks a harder one: re-split the
 //! runtime's [`crate::SdGraph`] so that every part fits a *byte capacity*
 //! (per-rank `memory_bytes`, pricing tiles + ghost buffers), at a scale
-//! where the recursive-bisection path is far too slow — a 10k-rank replan
-//! over a million SDs has to come back in well under a second, because it
-//! runs inside a load-balancing epoch.
+//! where the recursive-bisection path is far too slow. The replan runs
+//! inside a load-balancing epoch, so its latency is paid by every rank:
+//! a 10k-rank replan over a million SDs (the benchmark's `plan_10k`
+//! `plan_repart_s`) measures 1.1–1.3 s on a 2-CPU Intel Xeon host.
 //!
 //! [`repartition_capacitated`] therefore picks between two strategies:
 //!
@@ -16,7 +17,7 @@
 //!   capacity violations. Best cut quality; this is the path every
 //!   scenario-scale replan takes.
 //! - **Multilevel k-way** (cluster scale): coarsen by heavy-edge matching
-//!   with a dense-scratch contraction (no hashing on the hot path), seed
+//!   with the dense-scratch contraction, skipping its row sort, seed
 //!   the coarsest graph with a weight-balanced contiguous sweep, then
 //!   uncoarsen with boundary refinement that only ever touches the parts
 //!   actually adjacent to a vertex — O(edges) per pass independent of k,
@@ -28,7 +29,7 @@
 //! single-vertex moves. Determinism: same graph, weights, caps and seed
 //! produce the same partition (the cross-substrate parity contract).
 
-use crate::coarsen::{heavy_edge_matching, CoarseLevel};
+use crate::coarsen::{coarsen_with, contract_fast};
 use crate::graph::Csr;
 use crate::kway::{part_graph, Partition, PartitionConfig};
 use crate::metrics::{edge_cut, part_weights};
@@ -146,94 +147,13 @@ fn effective_caps(g: &Csr, caps: &[u64], cfg: &PartitionConfig) -> Vec<i64> {
     }
 }
 
-/// Heavy-edge-matching contraction without the hashing of
-/// [`crate::coarsen::contract`]: every coarse vertex has at most two fine
-/// members, so one dense scratch row accumulates its coarse neighbour
-/// weights in O(degree).
-fn contract_fast(g: &Csr, mate: &[u32]) -> CoarseLevel {
-    let n = g.n();
-    let mut map = vec![u32::MAX; n];
-    let mut members: Vec<(u32, u32)> = Vec::with_capacity(n);
-    for v in 0..n as u32 {
-        if map[v as usize] != u32::MAX {
-            continue;
-        }
-        let m = mate[v as usize];
-        let c = members.len() as u32;
-        map[v as usize] = c;
-        map[m as usize] = c; // m == v for unmatched vertices
-        members.push((v, m));
-    }
-    let nc = members.len();
-    let mut vwgt = vec![0i64; nc];
-    for v in 0..n {
-        vwgt[map[v] as usize] += g.vwgt[v];
-    }
-    let mut xadj = Vec::with_capacity(nc + 1);
-    let mut adjncy: Vec<u32> = Vec::new();
-    let mut adjwgt: Vec<i64> = Vec::new();
-    let mut slot = vec![usize::MAX; nc];
-    xadj.push(0usize);
-    for (c, &(a, b)) in members.iter().enumerate() {
-        let row_start = adjncy.len();
-        let fine = if a == b { [a, a] } else { [a, b] };
-        let take = if a == b { 1 } else { 2 };
-        for &v in fine.iter().take(take) {
-            for (u, w) in g.neighbors(v) {
-                let cu = map[u as usize];
-                if cu as usize == c {
-                    continue; // intra-pair edge vanishes
-                }
-                if slot[cu as usize] == usize::MAX {
-                    slot[cu as usize] = adjncy.len();
-                    adjncy.push(cu);
-                    adjwgt.push(w);
-                } else {
-                    adjwgt[slot[cu as usize]] += w;
-                }
-            }
-        }
-        for &cu in &adjncy[row_start..] {
-            slot[cu as usize] = usize::MAX;
-        }
-        xadj.push(adjncy.len());
-    }
-    CoarseLevel {
-        graph: Csr {
-            xadj,
-            adjncy,
-            adjwgt,
-            vwgt,
-        },
-        map,
-    }
-}
-
-/// Coarsen until `target_n` vertices remain or matching stalls, using the
-/// hash-free contraction. Levels are returned finest-first, like
-/// [`crate::coarsen::coarsen_to`].
-fn coarsen_fast(g: &Csr, target_n: usize, rng: &mut StdRng) -> Vec<CoarseLevel> {
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current = g.clone();
-    while current.n() > target_n {
-        let mate = heavy_edge_matching(&current, rng);
-        let level = contract_fast(&current, &mate);
-        if level.graph.n() as f64 > current.n() as f64 * 0.95 {
-            break;
-        }
-        current = level.graph.clone();
-        levels.push(level);
-    }
-    levels
-}
-
 /// Multilevel k-way partitioning with k-independent refinement — the
 /// cluster-scale path.
 fn multilevel_kway(bg: &Csr, cfg: &PartitionConfig, eff: &[i64]) -> Vec<u32> {
     let k = cfg.k;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let target = (k as usize * 4).max(256);
-    let levels = coarsen_fast(bg, target, &mut rng);
+    let levels = coarsen_with(bg, target, &mut rng, contract_fast);
     let coarsest: &Csr = levels.last().map(|l| &l.graph).unwrap_or(bg);
 
     // Initial assignment: a weight-balanced contiguous sweep over coarse
@@ -555,29 +475,6 @@ mod tests {
         };
         // sanity: far better than a random-quality cut
         assert!(edge_cut(&bg, &p.parts) < bg.adjwgt.iter().sum::<i64>() / 4);
-    }
-
-    #[test]
-    fn contract_fast_matches_contract() {
-        use crate::coarsen::contract;
-        let g = grid_graph(9, 7);
-        for seed in 0..4 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mate = heavy_edge_matching(&g, &mut rng);
-            let slow = contract(&g, &mate);
-            let fast = contract_fast(&g, &mate);
-            assert_eq!(fast.map, slow.map);
-            assert_eq!(fast.graph.vwgt, slow.graph.vwgt);
-            fast.graph.validate().unwrap();
-            // same edges and weights regardless of row ordering
-            for v in 0..fast.graph.n() as u32 {
-                let mut a: Vec<_> = fast.graph.neighbors(v).collect();
-                let mut b: Vec<_> = slow.graph.neighbors(v).collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "vertex {v} seed {seed}");
-            }
-        }
     }
 
     #[test]

@@ -35,6 +35,24 @@ pub fn patch_wire_bytes(cells: i64) -> u64 {
     (cells * 8 + 24) as u64
 }
 
+/// The row builder behind both [`SdGraph`] entry points: SD `u`'s row
+/// lists every SD its halo plan draws a patch from. The halo relation on
+/// a uniform [`SdGrid`] is symmetric — the patch `u` receives from `v` has
+/// the area of the patch `v` receives from `u` (each is a tile's overlap
+/// with the other's halo-padded tile, at mirrored offsets) — so the
+/// undirected edge, both ghost messages of a timestep, weighs
+/// `2 · patch_wire_bytes(area)` and is read off `u`'s plan alone.
+fn push_row(plan: &HaloPlan, row: &mut Vec<(SdId, i64)>) {
+    for (_, src, patch) in plan.sd_patches() {
+        row.push((src, 2 * patch_wire_bytes(patch.dst_rect.area()) as i64));
+    }
+}
+
+/// Vertex weights: every SD's cell count.
+fn sd_weights(sds: &SdGrid) -> Vec<i64> {
+    vec![sds.cells_per_sd() as i64; sds.count()]
+}
+
 /// Per-SD neighbour lists with halo-exchange volumes: one vertex per SD
 /// (weight = its cell count), one undirected edge per pair of SDs that
 /// trade ghost patches (weight = total wire bytes per timestep, both
@@ -52,29 +70,21 @@ impl SdGraph {
     /// Panics when `plans` does not cover the grid.
     pub fn from_plans(sds: &SdGrid, plans: &[HaloPlan]) -> Self {
         assert_eq!(plans.len(), sds.count(), "one halo plan per SD");
-        let mut edges: Vec<(SdId, SdId, i64)> = Vec::new();
-        for (i, plan) in plans.iter().enumerate() {
-            assert_eq!(plan.sd as usize, i, "plans must be in SD id order");
-            for (_, src, patch) in plan.sd_patches() {
-                // One directed ghost message src → plan.sd per timestep;
-                // `Csr::from_edges` sums duplicates, so the symmetric
-                // message of the reverse plan lands on the same
-                // undirected edge.
-                edges.push((plan.sd, src, patch_wire_bytes(patch.dst_rect.area()) as i64));
-            }
-        }
-        let vwgt = vec![sds.cells_per_sd() as i64; sds.count()];
-        SdGraph {
-            csr: Csr::from_edges(sds.count(), &edges, vwgt),
-        }
+        let csr = Csr::from_rows(sd_weights(sds), |sd, row| {
+            let plan = &plans[sd as usize];
+            assert_eq!(plan.sd, sd, "plans must be in SD id order");
+            push_row(plan, row);
+        });
+        SdGraph { csr }
     }
 
-    /// Build from grid geometry alone (constructs the halo plans
-    /// internally — callers that already hold plans should prefer
-    /// [`SdGraph::from_plans`]).
+    /// Build from grid geometry alone, one halo plan at a time (no plan
+    /// outlives its SD's row).
     pub fn build(sds: &SdGrid, halo: i64) -> Self {
-        let plans: Vec<HaloPlan> = sds.ids().map(|id| build_halo_plan(sds, halo, id)).collect();
-        SdGraph::from_plans(sds, &plans)
+        let csr = Csr::from_rows(sd_weights(sds), |sd, row| {
+            push_row(&build_halo_plan(sds, halo, sd), row);
+        });
+        SdGraph { csr }
     }
 
     /// Number of SDs (vertices).
@@ -255,11 +265,49 @@ mod tests {
         assert!(g3.resident_bytes(centre) > g3.resident_bytes(sds3.id(0, 0)));
     }
 
+    /// Both entry points equal the edge-list construction — one directed
+    /// `patch_wire_bytes` edge per ghost message, folded by
+    /// `Csr::from_edges` — on non-square grids, single- and multi-ring
+    /// halos (`halo > sd`, `halo = 2·sd + 1`), `halo = 0` and `sd = 1`.
     #[test]
-    fn from_plans_matches_build() {
-        let sds = SdGrid::new(4, 3, 5);
-        let plans: Vec<HaloPlan> = sds.ids().map(|id| build_halo_plan(&sds, 7, id)).collect();
-        assert_eq!(SdGraph::from_plans(&sds, &plans), SdGraph::build(&sds, 7));
+    fn rows_match_edge_list_reference() {
+        for (nsx, nsy, sd, halo) in [
+            (4usize, 3usize, 5usize, 7i64),
+            (5, 2, 4, 3),
+            (3, 6, 4, 9),
+            (6, 5, 3, 7),
+            (4, 4, 5, 0),
+            (7, 3, 1, 0),
+            (7, 3, 1, 1),
+            (5, 4, 1, 3),
+            (1, 1, 4, 2),
+        ] {
+            let sds = SdGrid::new(nsx, nsy, sd);
+            let plans: Vec<HaloPlan> = sds
+                .ids()
+                .map(|id| build_halo_plan(&sds, halo, id))
+                .collect();
+            let mut edges = Vec::new();
+            for plan in &plans {
+                for (_, src, patch) in plan.sd_patches() {
+                    edges.push((plan.sd, src, patch_wire_bytes(patch.dst_rect.area()) as i64));
+                }
+            }
+            let vwgt = vec![sds.cells_per_sd() as i64; sds.count()];
+            let reference = Csr::from_edges(sds.count(), &edges, vwgt);
+            let case = format!("{nsx}x{nsy} sd={sd} halo={halo}");
+            assert_eq!(SdGraph::build(&sds, halo).csr(), &reference, "{case}");
+            assert_eq!(
+                SdGraph::from_plans(&sds, &plans).csr(),
+                &reference,
+                "{case}"
+            );
+            assert_eq!(
+                reference.n_edges() == 0,
+                halo == 0 || sds.count() == 1,
+                "{case}"
+            );
+        }
     }
 
     /// The satellite acceptance test: the SD-graph cut equals

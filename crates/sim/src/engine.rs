@@ -359,17 +359,21 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
     // one policy instance lives across epochs (stateful policies learn
     // from the simulated migration stalls), and the SD adjacency /
     // halo-volume graph it prices μ against is built from the very halo
-    // plans whose messages the loop below charges.
-    let sd_graph = Arc::new(SdGraph::from_plans(&geo.sds, &geo.plans));
-    let mut lb_net =
-        LbNetwork::for_sd_tiles(&cfg.net, geo.sds.cells_per_sd()).with_sd_graph(sd_graph.clone());
-    if cfg.nodes.iter().any(|n| n.memory_bytes.is_some()) {
-        let caps: Vec<u64> = cfg
-            .nodes
-            .iter()
-            .map(|n| n.memory_bytes.unwrap_or(u64::MAX))
-            .collect();
-        lb_net = lb_net.with_memory(Arc::new(caps), Arc::new(sd_graph.footprints()));
+    // plans whose messages the loop below charges. Only planners read the
+    // graph and the footprints derived from it, so a run without a
+    // balancer builds neither.
+    let mut lb_net = LbNetwork::for_sd_tiles(&cfg.net, geo.sds.cells_per_sd());
+    if cfg.lb.is_some() {
+        let sd_graph = Arc::new(SdGraph::from_plans(&geo.sds, &geo.plans));
+        if cfg.nodes.iter().any(|n| n.memory_bytes.is_some()) {
+            let caps: Vec<u64> = cfg
+                .nodes
+                .iter()
+                .map(|n| n.memory_bytes.unwrap_or(u64::MAX))
+                .collect();
+            lb_net = lb_net.with_memory(Arc::new(caps), Arc::new(sd_graph.footprints()));
+        }
+        lb_net = lb_net.with_sd_graph(sd_graph);
     }
     let sd_tile_bytes = lb_net.sd_bytes.clone();
     // Link classes for the virtual-time ghost accounting: the very
@@ -785,6 +789,37 @@ mod tests {
         assert!(
             with < without,
             "LB {with} must beat no-LB {without} on a 2x-fast node"
+        );
+    }
+
+    /// A schedule that never fires attaches the SD graph and footprints
+    /// to the planner's view but must leave the run exactly as without a
+    /// balancer.
+    #[test]
+    fn idle_lb_schedule_matches_no_lb_bitwise() {
+        let nodes = (0..4)
+            .map(|i| VirtualNode {
+                cores: 1 + i % 2,
+                speed: 1.0 + 0.5 * i as f64,
+                memory_bytes: Some(1 << 30),
+            })
+            .collect();
+        let mut cfg = SimConfig::paper(200, 25, 6, nodes);
+        cfg.net = NetSpec::shared(1e-4, 1e9);
+        let without = simulate(&cfg);
+        cfg.lb = Some(LbSchedule::every(7));
+        let idle = simulate(&cfg);
+        assert_eq!(idle.total_time.to_bits(), without.total_time.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&idle.busy), bits(&without.busy));
+        assert_eq!(idle.cross_bytes, without.cross_bytes);
+        assert_eq!(idle.ghost_bytes, without.ghost_bytes);
+        assert_eq!(idle.messages, without.messages);
+        assert_eq!(idle.migrations, 0);
+        assert!(idle.lb_plans.is_empty() && idle.epoch_traces.is_empty());
+        assert_eq!(
+            idle.final_ownership.owners(),
+            without.final_ownership.owners()
         );
     }
 
