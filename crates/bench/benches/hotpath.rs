@@ -1,6 +1,6 @@
-//! The hot-path regression suite: sim event-core throughput, halo codec
-//! pack/unpack, the nonlocal kernel, and end-to-end quick scenarios on both
-//! substrates.
+//! The hot-path regression suite: sim event-core throughput, the
+//! simulator's per-run geometry at 250k SDs, halo codec pack/unpack, the
+//! nonlocal kernel, and end-to-end quick scenarios on both substrates.
 //!
 //! Run `cargo bench -p nlheat-bench --bench hotpath` (add `-- --quick` for
 //! the CI smoke budget). With `NLHEAT_BENCH_JSON=<path>` the criterion shim
@@ -87,6 +87,29 @@ fn event_core_bench(c: &mut Criterion) {
     g.bench_function("sim_nolb_1024sd_8n_6st", |b| {
         b.iter(|| black_box(simulate(&nolb_cfg)))
     });
+    g.finish();
+}
+
+fn sim_scale_bench(c: &mut Criterion) {
+    init();
+    // One step over 250k SDs (5000² mesh, 10-cell SDs, ε = 8h) on 64
+    // nodes whose 2x2-SD blocks alternate owners, so five of every SD's
+    // eight halo patches cross nodes, close to the share in the
+    // hierarchical plan's ownership that perfbench's plan_10k simulates. The step itself is cheap:
+    // the measured path is the per-run geometry and ownership view, which
+    // the 1024-SD event_core benches barely touch.
+    let sds = nlheat_mesh::SdGrid::tile_mesh(5000, 5000, 10);
+    let owners = sds
+        .ids()
+        .map(|id| {
+            let (sx, sy) = sds.coords(id);
+            ((sx / 2 + 8 * (sy / 2)) % 64) as u32
+        })
+        .collect();
+    let mut cfg = SimConfig::paper(5000, 10, 1, vec![VirtualNode::with_cores(2); 64]);
+    cfg.partition = PartitionSpec::Explicit(owners);
+    let mut g = c.benchmark_group("sim");
+    g.bench_function("nolb_250k_sd_1st", |b| b.iter(|| black_box(simulate(&cfg))));
     g.finish();
 }
 
@@ -368,6 +391,7 @@ fn dist_straggler_bench(c: &mut Criterion) {
 criterion_group!(
     benches,
     event_core_bench,
+    sim_scale_bench,
     halo_codec_bench,
     kernel_bench,
     e2e_bench,

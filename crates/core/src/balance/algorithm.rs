@@ -495,15 +495,17 @@ pub(crate) fn finish_plan(
     comm_cost: &CommCost,
     sd_bytes: &SdBytes,
 ) -> MigrationPlan {
+    // Dense per-SD index into `moves` (`u32::MAX`: not seen yet): first
+    // sighting keeps the SD's position and origin, later ones its target.
     let mut moves: Vec<Move> = Vec::new();
-    let mut slot: std::collections::HashMap<SdId, usize> = std::collections::HashMap::new();
+    let mut slot = vec![u32::MAX; working.owners().len()];
     for mv in raw {
-        match slot.entry(mv.sd) {
-            std::collections::hash_map::Entry::Occupied(e) => moves[*e.get()].to = mv.to,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(moves.len());
-                moves.push(mv);
-            }
+        let s = &mut slot[mv.sd as usize];
+        if *s == u32::MAX {
+            *s = moves.len() as u32;
+            moves.push(mv);
+        } else {
+            moves[*s as usize].to = mv.to;
         }
     }
     moves.retain(|m| m.from != m.to);

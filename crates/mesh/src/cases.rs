@@ -12,7 +12,7 @@
 //! is always correct — it only shrinks the overlap window, never reads
 //! stale data.
 
-use crate::halo::{HaloPlan, PatchSource};
+use crate::halo::{HaloPatch, HaloPlan, PatchSource};
 use crate::rect::Rect;
 use crate::subdomain::SdId;
 
@@ -52,10 +52,58 @@ pub fn split_cases(
     sd: i64,
     halo: i64,
     plan: &HaloPlan,
-    mut is_foreign: impl FnMut(SdId) -> bool,
+    is_foreign: impl FnMut(SdId) -> bool,
 ) -> CaseSplit {
+    let case2 = case2_rect(sd, halo, &plan.patches, is_foreign);
+    if case2.is_empty() {
+        // Margins swallow the SD: everything is case 1.
+        return CaseSplit {
+            case2,
+            case1: vec![Rect::new(0, 0, sd, sd)],
+        };
+    }
+    let (ml, mr) = (case2.x0, sd - case2.x1());
+    let (mb, mt) = (case2.y0, sd - case2.y1());
+    let mut case1 = Vec::with_capacity(4);
+    if ml > 0 {
+        case1.push(Rect::new(0, 0, ml, sd));
+    }
+    if mr > 0 {
+        case1.push(Rect::new(sd - mr, 0, mr, sd));
+    }
+    if mb > 0 {
+        case1.push(Rect::new(ml, 0, case2.w, mb));
+    }
+    if mt > 0 {
+        case1.push(Rect::new(ml, sd - mt, case2.w, mt));
+    }
+    CaseSplit { case2, case1 }
+}
+
+/// `(case-1 area, case-2 area)` of the split [`split_cases`] would return
+/// for the SD whose halo is `patches`, computed without allocating.
+pub fn case_areas(
+    sd: i64,
+    halo: i64,
+    patches: &[HaloPatch],
+    is_foreign: impl FnMut(SdId) -> bool,
+) -> (i64, i64) {
+    let case2 = case2_rect(sd, halo, patches, is_foreign).area();
+    (sd * sd - case2, case2)
+}
+
+/// The per-side margin rule: every side some foreign patch reaches across
+/// (corners count for both of their sides) loses a strip of width
+/// `min(halo, sd)`. Returns the case-2 rectangle left over, or the empty
+/// rectangle when the strips swallow the SD.
+fn case2_rect(
+    sd: i64,
+    halo: i64,
+    patches: &[HaloPatch],
+    mut is_foreign: impl FnMut(SdId) -> bool,
+) -> Rect {
     let (mut left, mut right, mut bottom, mut top) = (false, false, false, false);
-    for patch in &plan.patches {
+    for patch in patches {
         let foreign = match patch.source {
             PatchSource::Sd(id) => is_foreign(id),
             PatchSource::Collar => false, // collar is constant zero: no comm
@@ -80,31 +128,12 @@ pub fn split_cases(
     let m = halo.min(sd);
     let (ml, mr) = (if left { m } else { 0 }, if right { m } else { 0 });
     let (mb, mt) = (if bottom { m } else { 0 }, if top { m } else { 0 });
-
     let inner_w = sd - ml - mr;
     let inner_h = sd - mb - mt;
     if inner_w <= 0 || inner_h <= 0 {
-        // Margins swallow the SD: everything is case 1.
-        return CaseSplit {
-            case2: Rect::empty(),
-            case1: vec![Rect::new(0, 0, sd, sd)],
-        };
+        return Rect::empty();
     }
-    let case2 = Rect::new(ml, mb, inner_w, inner_h);
-    let mut case1 = Vec::with_capacity(4);
-    if ml > 0 {
-        case1.push(Rect::new(0, 0, ml, sd));
-    }
-    if mr > 0 {
-        case1.push(Rect::new(sd - mr, 0, mr, sd));
-    }
-    if mb > 0 {
-        case1.push(Rect::new(ml, 0, inner_w, mb));
-    }
-    if mt > 0 {
-        case1.push(Rect::new(ml, sd - mt, inner_w, mt));
-    }
-    CaseSplit { case2, case1 }
+    Rect::new(ml, mb, inner_w, inner_h)
 }
 
 #[cfg(test)]
@@ -238,6 +267,45 @@ mod tests {
                     s.case1.iter().any(|r| r.contains(x, y)),
                     "({x},{y}) reads foreign data but is not case 1"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn case_areas_match_split_cases() {
+        // Seeded random ownerships over grids where the margins leave a
+        // case-2 core and where they swallow the SD (halo >= sd/2), with
+        // multi-ring halos, no halo and 1-cell SDs.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (nsx, nsy, sd, halo) in [
+            (4usize, 3usize, 10usize, 3i64),
+            (4, 4, 6, 3),
+            (5, 3, 4, 3),
+            (3, 5, 5, 8),
+            (6, 4, 3, 7),
+            (3, 3, 8, 0),
+            (4, 4, 1, 2),
+        ] {
+            let g = SdGrid::new(nsx, nsy, sd);
+            for nodes in [1u64, 2, 3, 5] {
+                let owners: Vec<u64> = g.ids().map(|_| next() % nodes).collect();
+                for id in g.ids() {
+                    let plan = build_halo_plan(&g, halo, id);
+                    let me = owners[id as usize];
+                    let foreign = |n: SdId| owners[n as usize] != me;
+                    let split = split_cases(g.sd, halo, &plan, foreign);
+                    assert_eq!(
+                        case_areas(g.sd, halo, &plan.patches, foreign),
+                        (split.case1_area(), split.case2_area()),
+                        "{nsx}x{nsy} sd={sd} halo={halo} nodes={nodes} id={id}"
+                    );
+                }
             }
         }
     }

@@ -63,7 +63,17 @@ impl HaloPlan {
 /// Build the halo plan for `sd_id` on an SD grid whose cells carry a ghost
 /// ring of width `halo` cells.
 pub fn build_halo_plan(sds: &SdGrid, halo: i64, sd_id: SdId) -> HaloPlan {
+    let mut patches = Vec::new();
+    fill_halo_patches(sds, halo, sd_id, &mut patches);
+    HaloPlan { sd: sd_id, patches }
+}
+
+/// Replace the contents of `patches` with the halo patches of `sd_id`, in
+/// [`build_halo_plan`]'s order. Callers that walk every SD reuse one buffer
+/// across SDs, so no per-SD plan is allocated.
+pub fn fill_halo_patches(sds: &SdGrid, halo: i64, sd_id: SdId, patches: &mut Vec<HaloPatch>) {
     assert!(halo >= 0);
+    patches.clear();
     let own = sds.rect(sd_id);
     let (sx, sy) = sds.coords(sd_id);
     let padded = Rect::new(
@@ -74,7 +84,6 @@ pub fn build_halo_plan(sds: &SdGrid, halo: i64, sd_id: SdId) -> HaloPlan {
     );
     // Number of SD rings the halo can reach into.
     let rings = (halo + sds.sd - 1) / sds.sd;
-    let mut patches = Vec::new();
     for dsy in -rings..=rings {
         for dsx in -rings..=rings {
             if dsx == 0 && dsy == 0 {
@@ -106,7 +115,6 @@ pub fn build_halo_plan(sds: &SdGrid, halo: i64, sd_id: SdId) -> HaloPlan {
             }
         }
     }
-    HaloPlan { sd: sd_id, patches }
 }
 
 #[cfg(test)]
@@ -201,5 +209,37 @@ mod tests {
         let plan = plan_for(1, 1, 8, 3, 0, 0);
         assert_eq!(plan.sd_patches().count(), 0);
         assert!(plan.patches.iter().all(|p| p.source == PatchSource::Collar));
+    }
+
+    #[test]
+    fn reused_buffer_matches_fresh_plans() {
+        // One dirty buffer walked across every SD must reproduce each
+        // SD's own plan exactly: non-square grids, halo > sd (two and three
+        // rings), halo = 2·sd + 1, no halo, and 1-cell SDs.
+        let mut buf = vec![HaloPatch {
+            source: PatchSource::Collar,
+            src_rect: Rect::new(1, 2, 3, 4),
+            dst_rect: Rect::new(5, 6, 7, 8),
+        }];
+        for (nsx, nsy, sd, halo) in [
+            (4usize, 3usize, 10usize, 3i64),
+            (3, 5, 5, 8),
+            (5, 2, 4, 9),
+            (6, 4, 3, 7),
+            (2, 7, 6, 0),
+            (4, 4, 1, 1),
+            (3, 2, 1, 3),
+            (1, 1, 8, 3),
+        ] {
+            let g = SdGrid::new(nsx, nsy, sd);
+            for id in g.ids() {
+                fill_halo_patches(&g, halo, id, &mut buf);
+                assert_eq!(
+                    buf,
+                    build_halo_plan(&g, halo, id).patches,
+                    "{nsx}x{nsy} sd={sd} halo={halo} id={id}"
+                );
+            }
+        }
     }
 }

@@ -24,9 +24,9 @@ pub mod stencil;
 pub mod subdomain;
 pub mod tile;
 
-pub use cases::{split_cases, CaseSplit};
+pub use cases::{case_areas, split_cases, CaseSplit};
 pub use grid::Grid;
-pub use halo::{build_halo_plan, HaloPatch, HaloPlan, PatchSource};
+pub use halo::{build_halo_plan, fill_halo_patches, HaloPatch, HaloPlan, PatchSource};
 pub use rect::Rect;
 pub use stencil::Stencil;
 pub use subdomain::{SdGrid, SdId};

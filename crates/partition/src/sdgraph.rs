@@ -20,7 +20,7 @@
 
 use crate::graph::Csr;
 use crate::metrics::edge_cut;
-use nlheat_mesh::{build_halo_plan, HaloPlan, SdGrid, SdId};
+use nlheat_mesh::{fill_halo_patches, HaloPatch, HaloPlan, PatchSource, SdGrid, SdId};
 
 /// Wire bytes of one ghost message carrying `cells` cells — the
 /// 8-byte-f64 payload plus 24 bytes of framing, the planning-grade wire
@@ -36,15 +36,17 @@ pub fn patch_wire_bytes(cells: i64) -> u64 {
 }
 
 /// The row builder behind both [`SdGraph`] entry points: SD `u`'s row
-/// lists every SD its halo plan draws a patch from. The halo relation on
+/// lists every SD its halo patches draw from. The halo relation on
 /// a uniform [`SdGrid`] is symmetric — the patch `u` receives from `v` has
 /// the area of the patch `v` receives from `u` (each is a tile's overlap
 /// with the other's halo-padded tile, at mirrored offsets) — so the
 /// undirected edge, both ghost messages of a timestep, weighs
-/// `2 · patch_wire_bytes(area)` and is read off `u`'s plan alone.
-fn push_row(plan: &HaloPlan, row: &mut Vec<(SdId, i64)>) {
-    for (_, src, patch) in plan.sd_patches() {
-        row.push((src, 2 * patch_wire_bytes(patch.dst_rect.area()) as i64));
+/// `2 · patch_wire_bytes(area)` and is read off `u`'s patches alone.
+fn push_row(patches: &[HaloPatch], row: &mut Vec<(SdId, i64)>) {
+    for patch in patches {
+        if let PatchSource::Sd(src) = patch.source {
+            row.push((src, 2 * patch_wire_bytes(patch.dst_rect.area()) as i64));
+        }
     }
 }
 
@@ -73,16 +75,18 @@ impl SdGraph {
         let csr = Csr::from_rows(sd_weights(sds), |sd, row| {
             let plan = &plans[sd as usize];
             assert_eq!(plan.sd, sd, "plans must be in SD id order");
-            push_row(plan, row);
+            push_row(&plan.patches, row);
         });
         SdGraph { csr }
     }
 
-    /// Build from grid geometry alone, one halo plan at a time (no plan
-    /// outlives its SD's row).
+    /// Build from grid geometry alone, regenerating each SD's halo
+    /// patches into one reused buffer (no per-SD plan is allocated).
     pub fn build(sds: &SdGrid, halo: i64) -> Self {
+        let mut patches = Vec::new();
         let csr = Csr::from_rows(sd_weights(sds), |sd, row| {
-            push_row(&build_halo_plan(sds, halo, sd), row);
+            fill_halo_patches(sds, halo, sd, &mut patches);
+            push_row(&patches, row);
         });
         SdGraph { csr }
     }
@@ -217,6 +221,7 @@ impl SdGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nlheat_mesh::build_halo_plan;
 
     #[test]
     fn edges_match_halo_reach() {

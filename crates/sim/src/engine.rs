@@ -10,9 +10,9 @@ use nlheat_core::scenario::{
     active_at, failed_at, modeled_busy, ClusterEvent, LbInput, PartitionSpec,
 };
 use nlheat_core::workload::WorkModel;
-use nlheat_mesh::{build_halo_plan, split_cases, Grid, HaloPlan, PatchSource, SdGrid, Stencil};
+use nlheat_mesh::{case_areas, fill_halo_patches, Grid, PatchSource, SdGrid, Stencil};
 use nlheat_netmodel::{LinkClass, Msg, NetSpec};
-use nlheat_partition::SdGraph;
+use nlheat_partition::{patch_wire_bytes, SdGraph};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -139,57 +139,46 @@ pub struct SimRun {
     pub final_ownership: Ownership,
 }
 
+/// Run-constant geometry. Only the grid and the halo width are kept: an
+/// SD's halo patches are a pure function of them, regenerated on demand
+/// into a reused buffer, so the simulator holds no per-SD halo plan.
 struct Geometry {
     sds: SdGrid,
-    plans: Vec<HaloPlan>,
     halo: i64,
-    /// Per-SD ghost cells expected from neighbouring SDs — fixed geometry,
-    /// hoisted out of the per-step unpack-cost computation.
-    ghost_cells: Vec<f64>,
 }
 
 impl Geometry {
     fn build(cfg: &SimConfig) -> Self {
         let grid = Grid::square(cfg.mesh_n, cfg.eps_mult);
-        let sds = SdGrid::tile_mesh(cfg.mesh_n, cfg.mesh_n, cfg.sd_size);
-        let plans: Vec<HaloPlan> = sds
-            .ids()
-            .map(|id| build_halo_plan(&sds, grid.halo, id))
-            .collect();
-        let ghost_cells = plans
-            .iter()
-            .map(|p| p.ghost_cells_from_sds() as f64)
-            .collect();
         Geometry {
-            sds,
-            plans,
+            sds: SdGrid::tile_mesh(cfg.mesh_n, cfg.mesh_n, cfg.sd_size),
             halo: grid.halo,
-            ghost_cells,
         }
     }
 }
 
 /// One cross-node ghost transfer, precomputed in exact arrival-call order
-/// (destination SDs ascending, patches in plan order) so replaying the
+/// (destination SDs ascending, patches in halo order) so replaying the
 /// list hits the stateful [`nlheat_netmodel::NetModel`] with the identical
-/// call sequence the per-step scan used to produce.
+/// call sequence the per-step scan used to produce. 20 bytes: the wire
+/// bytes are re-derived from `area` at replay.
 struct GhostSend {
     src: u32,
     dst: u32,
     /// Destination SD the payload feeds.
     sd: u32,
-    /// Patch area in cells (prices the sender-side pack delay).
-    area: i64,
-    /// Wire bytes on the link.
-    bytes: u64,
+    /// Patch area in cells: prices the sender-side pack delay and, through
+    /// [`patch_wire_bytes`], the payload on the link.
+    area: u32,
     /// Whether the link crosses a rack boundary under the run's topology.
     inter_rack: bool,
 }
 
-/// Everything the event loop derives from ownership alone. The per-step
-/// scan used to rebuild all of this (owner copies, cross-node patch scans,
-/// case splits) every step; ownership only changes at realized balancing
-/// epochs, so the view is computed once and swapped on migration.
+/// Everything the event loop derives from ownership alone, in O(1) words
+/// per SD plus one entry per cross-node patch. Ownership only changes at
+/// realized balancing epochs, so the view is built once and rebuilt on
+/// migration, in a single pass that regenerates each SD's halo patches
+/// into one reused buffer.
 struct OwnershipView {
     owners: Vec<u32>,
     /// Per-node owned SDs, ascending id (the order `owned_by` yields).
@@ -200,6 +189,9 @@ struct OwnershipView {
     local_copy_cells: Vec<i64>,
     /// Per-SD (case-1 area, case-2 area) under this ownership.
     splits: Vec<(i64, i64)>,
+    /// Per-SD ghost cells drawn from neighbouring SDs, whatever their
+    /// owner (prices the unpack once the SD's ghosts arrive).
+    ghost_cells: Vec<f64>,
 }
 
 impl OwnershipView {
@@ -210,36 +202,41 @@ impl OwnershipView {
         comm: &nlheat_netmodel::CommCost,
     ) -> Self {
         let owners = ownership.owners().to_vec();
+        let n_sds = geo.sds.count();
         let mut owned: Vec<Vec<u32>> = vec![Vec::new(); nn];
         let mut sends = Vec::new();
         let mut local_copy_cells = vec![0i64; nn];
-        let mut splits = Vec::with_capacity(geo.sds.count());
+        let mut splits = Vec::with_capacity(n_sds);
+        let mut ghost_cells = Vec::with_capacity(n_sds);
+        let mut patches = Vec::new();
         for sd in geo.sds.ids() {
             let dst_node = owners[sd as usize] as usize;
             owned[dst_node].push(sd);
-            for patch in &geo.plans[sd as usize].patches {
+            fill_halo_patches(&geo.sds, geo.halo, sd, &mut patches);
+            let mut cells = 0i64;
+            for patch in &patches {
                 if let PatchSource::Sd(src) = patch.source {
+                    let area = patch.dst_rect.area();
+                    cells += area;
                     let src_node = owners[src as usize] as usize;
                     if src_node == dst_node {
-                        local_copy_cells[dst_node] += patch.dst_rect.area();
+                        local_copy_cells[dst_node] += area;
                         continue;
                     }
-                    let bytes = nlheat_partition::patch_wire_bytes(patch.dst_rect.area());
                     sends.push(GhostSend {
                         src: src_node as u32,
                         dst: dst_node as u32,
                         sd,
-                        area: patch.dst_rect.area(),
-                        bytes,
+                        area: u32::try_from(area).expect("halo patch area fits in u32"),
                         inter_rack: comm.link_class(src_node as u32, dst_node as u32)
                             == LinkClass::InterRack,
                     });
                 }
             }
-            let split = split_cases(geo.sds.sd, geo.halo, &geo.plans[sd as usize], |n| {
+            ghost_cells.push(cells as f64);
+            splits.push(case_areas(geo.sds.sd, geo.halo, &patches, |n| {
                 owners[n as usize] as usize != dst_node
-            });
-            splits.push((split.case1_area(), split.case2_area()));
+            }));
         }
         OwnershipView {
             owners,
@@ -247,6 +244,7 @@ impl OwnershipView {
             sends,
             local_copy_cells,
             splits,
+            ghost_cells,
         }
     }
 }
@@ -254,8 +252,10 @@ impl OwnershipView {
 /// Per-step scratch buffers reused across the whole run: the event loop
 /// proper performs no heap allocation once these reach steady-state size.
 struct StepScratch {
-    /// Ghost arrival times keyed by destination SD.
-    arrivals: Vec<Vec<f64>>,
+    /// Latest ghost arrival per destination SD this step
+    /// (`NEG_INFINITY`: none). Only the maximum matters, and `f64::max` is
+    /// exact and order-independent over the loop's non-NaN times.
+    latest_arrival: Vec<f64>,
     /// (ready, duration) task list for the node being scheduled.
     tasks: Vec<(f64, f64)>,
     /// Core-free-time heap for the list scheduler.
@@ -265,7 +265,7 @@ struct StepScratch {
 impl StepScratch {
     fn new(sd_count: usize, max_cores: usize) -> Self {
         StepScratch {
-            arrivals: vec![Vec::new(); sd_count],
+            latest_arrival: vec![f64::NEG_INFINITY; sd_count],
             tasks: Vec::new(),
             free: BinaryHeap::with_capacity(max_cores.max(1)),
         }
@@ -359,12 +359,12 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
     // one policy instance lives across epochs (stateful policies learn
     // from the simulated migration stalls), and the SD adjacency /
     // halo-volume graph it prices μ against is built from the very halo
-    // plans whose messages the loop below charges. Only planners read the
+    // patches whose messages the loop below charges. Only planners read the
     // graph and the footprints derived from it, so a run without a
     // balancer builds neither.
     let mut lb_net = LbNetwork::for_sd_tiles(&cfg.net, geo.sds.cells_per_sd());
     if cfg.lb.is_some() {
-        let sd_graph = Arc::new(SdGraph::from_plans(&geo.sds, &geo.plans));
+        let sd_graph = Arc::new(SdGraph::build(&geo.sds, geo.halo));
         if cfg.nodes.iter().any(|n| n.memory_bytes.is_some()) {
             let caps: Vec<u64> = cfg
                 .nodes
@@ -393,9 +393,7 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
         // --- ghost messages: (dst node, dst sd) -> arrival time ---
         // replay the precomputed send list (destination SDs in id order,
         // the order sender NICs serialize in).
-        for v in scratch.arrivals.iter_mut() {
-            v.clear();
-        }
+        scratch.latest_arrival.fill(f64::NEG_INFINITY);
         // Failure mask of this step: transfers to or from a fail-stopped
         // rank still happen (the nodes keep executing until evacuated, so
         // virtual time is unchanged) but stop counting toward the
@@ -405,24 +403,26 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
             (!cfg.cluster_events.is_empty()).then(|| failed_at(nn, &cfg.cluster_events, step));
         for s in &view.sends {
             // pack cost delays the send readiness a little
-            let ready = node_time[s.src as usize] + cfg.cost.copy_sec_per_cell * s.area as f64;
+            let ready = node_time[s.src as usize] + cfg.cost.copy_sec_per_cell * f64::from(s.area);
+            let bytes = patch_wire_bytes(i64::from(s.area));
             let arr = net.arrival(
                 ready,
                 &Msg {
                     src: s.src,
                     dst: s.dst,
-                    bytes: s.bytes,
+                    bytes,
                 },
             );
-            scratch.arrivals[s.sd as usize].push(arr);
+            let latest = &mut scratch.latest_arrival[s.sd as usize];
+            *latest = latest.max(arr);
             let counted = failed_now
                 .as_ref()
                 .is_none_or(|f| !f[s.src as usize] && !f[s.dst as usize]);
             if counted {
-                cross_bytes += s.bytes;
-                ghost_bytes += s.bytes;
+                cross_bytes += bytes;
+                ghost_bytes += bytes;
                 if s.inter_rack {
-                    inter_rack_ghost_bytes += s.bytes;
+                    inter_rack_ghost_bytes += bytes;
                 }
                 messages += 1;
             }
@@ -444,12 +444,12 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
             for &sd in owned {
                 let factor = work.factor(&geo.sds, sd);
                 let (case1_area, case2_area) = view.splits[sd as usize];
-                let arrived = &scratch.arrivals[sd as usize];
-                let ghosts_in = if arrived.is_empty() {
+                let latest = scratch.latest_arrival[sd as usize];
+                let ghosts_in = if latest == f64::NEG_INFINITY {
                     t0
                 } else {
-                    let unpack = cfg.cost.copy_sec_per_cell * geo.ghost_cells[sd as usize];
-                    let ready = arrived.iter().fold(t0, |m, &a| m.max(a)) + unpack;
+                    let unpack = cfg.cost.copy_sec_per_cell * view.ghost_cells[sd as usize];
+                    let ready = t0.max(latest) + unpack;
                     step_ghost_delay = step_ghost_delay.max(ready - t0);
                     ready
                 };
@@ -1199,5 +1199,122 @@ mod tests {
             efficiency > 0.8,
             "weak-scaling efficiency {efficiency} too low"
         );
+    }
+
+    /// The view as it was built from one resident [`HaloPlan`] per SD and
+    /// an allocating [`split_cases`], kept as the reference the
+    /// single-pass [`OwnershipView::build`] must reproduce.
+    struct ReferenceView {
+        owned: Vec<Vec<u32>>,
+        sends: Vec<(u32, u32, u32, i64, u64, bool)>,
+        local_copy_cells: Vec<i64>,
+        splits: Vec<(i64, i64)>,
+        ghost_cells: Vec<f64>,
+    }
+
+    fn reference_view(
+        sds: &SdGrid,
+        halo: i64,
+        owners: &[u32],
+        nn: usize,
+        comm: &nlheat_netmodel::CommCost,
+    ) -> ReferenceView {
+        use nlheat_mesh::{build_halo_plan, split_cases, HaloPlan};
+        let plans: Vec<HaloPlan> = sds.ids().map(|id| build_halo_plan(sds, halo, id)).collect();
+        let mut r = ReferenceView {
+            owned: vec![Vec::new(); nn],
+            sends: Vec::new(),
+            local_copy_cells: vec![0; nn],
+            splits: Vec::new(),
+            ghost_cells: plans
+                .iter()
+                .map(|p| p.ghost_cells_from_sds() as f64)
+                .collect(),
+        };
+        for sd in sds.ids() {
+            let dst = owners[sd as usize];
+            r.owned[dst as usize].push(sd);
+            for (_, src_sd, patch) in plans[sd as usize].sd_patches() {
+                let src = owners[src_sd as usize];
+                let area = patch.dst_rect.area();
+                if src == dst {
+                    r.local_copy_cells[dst as usize] += area;
+                } else {
+                    let inter = comm.link_class(src, dst) == LinkClass::InterRack;
+                    r.sends
+                        .push((src, dst, sd, area, patch_wire_bytes(area), inter));
+                }
+            }
+            let split = split_cases(sds.sd, halo, &plans[sd as usize], |n| {
+                owners[n as usize] != dst
+            });
+            r.splits.push((split.case1_area(), split.case2_area()));
+        }
+        r
+    }
+
+    #[test]
+    fn ownership_view_matches_per_sd_plan_reference() {
+        // Seeded random and blocky ownerships over single- and multi-ring
+        // halos (halo 8 over 4- and 3-cell SDs), on a two-rack topology
+        // so the inter-rack flag is exercised.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let nn = 4usize;
+        let comm = LbNetwork::for_sd_tiles(
+            &NetSpec::Topology(nlheat_netmodel::TopologySpec::two_tier(2)),
+            1,
+        )
+        .comm;
+        // (mesh, SD side, SD rings the ε = 8h halo reaches)
+        for (mesh_n, sd_size, rings) in [(48usize, 4usize, 2i64), (40, 10, 1), (36, 3, 3)] {
+            let cfg = SimConfig::paper(mesh_n, sd_size, 1, vec![VirtualNode::with_cores(1); nn]);
+            let geo = Geometry::build(&cfg);
+            assert_eq!((geo.halo + geo.sds.sd - 1) / geo.sds.sd, rings);
+            let n = geo.sds.count();
+            for pattern in 0..4 {
+                let owners: Vec<u32> = (0..n)
+                    .map(|sd| match pattern {
+                        0 => (next() % nn as u64) as u32,
+                        1 => (sd * nn / n) as u32,
+                        2 => (next() % 2) as u32 * 3,
+                        _ => 0,
+                    })
+                    .collect();
+                let ownership = Ownership::new(geo.sds, owners.clone(), nn as u32);
+                let view = OwnershipView::build(&geo, &ownership, nn, &comm);
+                let want = reference_view(&geo.sds, geo.halo, &owners, nn, &comm);
+                let case = format!("mesh {mesh_n} sd {sd_size} pattern {pattern}");
+                let sends: Vec<_> = view
+                    .sends
+                    .iter()
+                    .map(|s| {
+                        let area = i64::from(s.area);
+                        (
+                            s.src,
+                            s.dst,
+                            s.sd,
+                            area,
+                            patch_wire_bytes(area),
+                            s.inter_rack,
+                        )
+                    })
+                    .collect();
+                assert_eq!(sends, want.sends, "{case}");
+                assert_eq!(view.owners, owners, "{case}");
+                assert_eq!(view.owned, want.owned, "{case}");
+                assert_eq!(view.local_copy_cells, want.local_copy_cells, "{case}");
+                assert_eq!(view.splits, want.splits, "{case}");
+                assert_eq!(view.ghost_cells, want.ghost_cells, "{case}");
+                if pattern < 3 {
+                    assert!(!view.sends.is_empty(), "{case}");
+                }
+            }
+        }
     }
 }
