@@ -1,9 +1,9 @@
 //! Cluster-wide collective operations built on parcels.
 //!
-//! HPX ships collectives (`hpx::collectives::{broadcast, reduce, barrier}`)
+//! HPX ships collectives (`hpx::collectives::{gather, broadcast, ...}`)
 //! on top of its parcel transport; the load-balancing epoch of the solver
-//! is exactly a gather → plan → broadcast round. This module provides the
-//! same three primitives for localities, using a dedicated tag class and an
+//! is exactly a gather → plan → broadcast round. This module provides
+//! those two primitives for localities, using a dedicated tag class and an
 //! epoch counter so successive collectives never collide.
 //!
 //! All collectives are **symmetric calls**: every locality of the cluster
@@ -23,8 +23,6 @@ pub const CLASS_COLLECTIVE: u8 = 0xC0;
 /// field so gather/broadcast phases of the same epoch stay distinct).
 const OP_GATHER: u64 = 1;
 const OP_BCAST: u64 = 2;
-const OP_BARRIER_UP: u64 = 3;
-const OP_BARRIER_DOWN: u64 = 4;
 
 fn coll_tag(epoch: u64, node: u64, op: u64) -> u64 {
     tag(CLASS_COLLECTIVE, epoch, node, op)
@@ -80,55 +78,10 @@ pub fn broadcast<T: Wire>(
     T::from_bytes(fut.get())
 }
 
-/// Reduce every locality's `value` with `op` on locality 0, then broadcast
-/// the result back to everyone (an allreduce).
-pub fn all_reduce<T: Wire + Clone>(
-    loc: &Locality,
-    n: u32,
-    epoch: u64,
-    value: &T,
-    op: impl Fn(T, T) -> T,
-) -> Result<T, WireError> {
-    let gathered = gather(loc, n, epoch, value)?;
-    let reduced = gathered.map(|values| {
-        let mut it = values.into_iter();
-        let first = it.next().expect("cluster has at least one locality");
-        it.fold(first, &op)
-    });
-    broadcast(loc, n, epoch, reduced.as_ref())
-}
-
-/// Cluster-wide barrier: returns only after every locality has entered.
-pub fn barrier(loc: &Locality, n: u32, epoch: u64) {
-    let me = loc.id();
-    // up phase: everyone reports to the root
-    loc.send(0, coll_tag(epoch, me as u64, OP_BARRIER_UP), Bytes::new());
-    if me == 0 {
-        let futures: Vec<Future<Bytes>> = (0..n)
-            .map(|node| loc.expect(coll_tag(epoch, node as u64, OP_BARRIER_UP)))
-            .collect();
-        for fut in futures {
-            fut.get();
-        }
-        // down phase: release everyone
-        for node in 0..n {
-            loc.send(
-                node,
-                coll_tag(epoch, node as u64, OP_BARRIER_DOWN),
-                Bytes::new(),
-            );
-        }
-    }
-    loc.expect(coll_tag(epoch, me as u64, OP_BARRIER_DOWN))
-        .get();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::ClusterBuilder;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn gather_collects_all_values() {
@@ -154,25 +107,20 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_sums() {
-        let cluster = ClusterBuilder::new().uniform(4, 1).build();
-        let n = cluster.len() as u32;
-        let results = cluster.run(|loc| {
-            let v = loc.id() as u64 + 1; // 1..=4
-            all_reduce(&loc, n, 0, &v, |a, b| a + b).unwrap()
-        });
-        assert_eq!(results, vec![10, 10, 10, 10]);
-    }
-
-    #[test]
     fn successive_epochs_do_not_collide() {
+        // One gather → broadcast round per epoch, the load-balancing
+        // epoch's shape: the root reduces the gathered values and every
+        // locality must see its own epoch's result.
         let cluster = ClusterBuilder::new().uniform(2, 1).build();
         let n = cluster.len() as u32;
         let results = cluster.run(|loc| {
             let mut out = Vec::new();
             for epoch in 0..5u64 {
                 let v = epoch * 100 + loc.id() as u64;
-                out.push(all_reduce(&loc, n, epoch, &v, u64::max).unwrap());
+                let max = gather(&loc, n, epoch, &v)
+                    .unwrap()
+                    .map(|all| all.into_iter().max().unwrap());
+                out.push(broadcast(&loc, n, epoch, max.as_ref()).unwrap());
             }
             out
         });
@@ -182,28 +130,12 @@ mod tests {
     }
 
     #[test]
-    fn barrier_orders_phases() {
-        // After the barrier, every locality must observe every other
-        // locality's pre-barrier increment.
-        let cluster = ClusterBuilder::new().uniform(4, 1).build();
-        let n = cluster.len() as u32;
-        let counter = Arc::new(AtomicU32::new(0));
-        let c = counter.clone();
-        let observed = cluster.run(move |loc| {
-            c.fetch_add(1, Ordering::SeqCst);
-            barrier(&loc, n, 7);
-            c.load(Ordering::SeqCst)
-        });
-        assert_eq!(observed, vec![4, 4, 4, 4]);
-    }
-
-    #[test]
     fn single_locality_collectives_are_trivial() {
         let cluster = ClusterBuilder::new().uniform(1, 1).build();
         let results = cluster.run(|loc| {
-            barrier(&loc, 1, 0);
-            all_reduce(&loc, 1, 1, &5u64, |a, b| a + b).unwrap()
+            let all = gather(&loc, 1, 0, &5u64).unwrap();
+            broadcast(&loc, 1, 0, all.as_ref()).unwrap()
         });
-        assert_eq!(results, vec![5]);
+        assert_eq!(results, vec![vec![5]]);
     }
 }

@@ -17,8 +17,6 @@
 //!   ([`locality::Locality`]) communicating exclusively through serialized
 //!   [`parcel::Parcel`]s over an in-memory [`network::Fabric`] with an
 //!   optional latency/bandwidth model.
-//! * **AGAS** — a global ownership directory ([`agas::Agas`]) mapping
-//!   distributed object ids (sub-domains) to their owning locality.
 //!
 //! The distributed pieces run in a single process: each locality owns its own
 //! worker pool and inbox, and all inter-locality data flows through the
@@ -34,7 +32,6 @@
 //! assert_eq!(a.get() + b.get(), 12);
 //! ```
 
-pub mod agas;
 pub mod cluster;
 pub mod codec;
 pub mod collectives;
@@ -49,7 +46,6 @@ pub mod task;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::agas::Agas;
     pub use crate::cluster::{Cluster, ClusterBuilder, NodeSpec};
     pub use crate::codec::{Wire, WireError};
     pub use crate::counters::{Counter, CounterRegistry};

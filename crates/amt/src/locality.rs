@@ -2,7 +2,7 @@
 //!
 //! A [`Locality`] bundles what one node of the paper's cluster has: a worker
 //! pool for asynchronous tasks, a speed factor (for reproducing heterogeneous
-//! compute capacity, §7), a parcel inbox with class-based dispatch, a
+//! compute capacity, §7), a parcel inbox, a
 //! rendezvous table for point-to-point message matching, and its busy-time
 //! performance counter.
 
@@ -14,34 +14,12 @@ use crate::counters::{
 };
 use crate::future::Future;
 use crate::network::FabricHandle;
-use crate::parcel::{tag_class, Parcel, Tag};
+use crate::parcel::{Parcel, Tag};
 use crate::pool::{PoolHandle, ThreadPool};
 use crate::rendezvous::Rendezvous;
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
-use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-type Handler = Box<dyn Fn(Parcel) + Send + Sync + 'static>;
-
-/// Class-byte → handler dispatch table for a locality's inbox.
-#[derive(Default)]
-pub struct HandlerTable {
-    map: RwLock<HashMap<u8, Handler>>,
-}
-
-impl HandlerTable {
-    fn dispatch(&self, parcel: Parcel, rendezvous: &Rendezvous) {
-        let class = tag_class(parcel.tag);
-        let map = self.map.read();
-        if let Some(h) = map.get(&class) {
-            h(parcel);
-        } else {
-            rendezvous.deliver(parcel.tag, parcel.payload);
-        }
-    }
-}
 
 /// One simulated compute node.
 pub struct Locality {
@@ -49,7 +27,6 @@ pub struct Locality {
     pool: Arc<ThreadPool>,
     speed: f64,
     rendezvous: Arc<Rendezvous>,
-    handlers: Arc<HandlerTable>,
     fabric: FabricHandle,
     registry: Arc<CounterRegistry>,
     busy_counter: Counter,
@@ -92,7 +69,6 @@ impl Locality {
             pool,
             speed,
             rendezvous: Arc::new(Rendezvous::new()),
-            handlers: Arc::new(HandlerTable::default()),
             fabric,
             registry,
             busy_counter,
@@ -156,12 +132,6 @@ impl Locality {
         self.rendezvous.expect(tag)
     }
 
-    /// Register a handler for every inbound parcel whose tag class is
-    /// `class`; untagged classes fall through to the rendezvous table.
-    pub fn register_handler(&self, class: u8, handler: impl Fn(Parcel) + Send + Sync + 'static) {
-        self.handlers.map.write().insert(class, Box::new(handler));
-    }
-
     /// Busy time accumulated by this locality's workers (ns), relative to the
     /// last counter reset — the paper's `busy_time` performance counter.
     pub fn busy_time_ns(&self) -> u64 {
@@ -183,20 +153,12 @@ impl Locality {
         &self.rendezvous
     }
 
-    /// Inbox pump: dispatch parcels until the fabric closes. Run on a
-    /// dedicated thread by the cluster.
-    pub(crate) fn pump(
-        rx: Receiver<Parcel>,
-        rendezvous: Arc<Rendezvous>,
-        handlers: Arc<HandlerTable>,
-    ) {
+    /// Inbox pump: deliver parcels to the rendezvous table until the
+    /// fabric closes. Run on a dedicated thread by the cluster.
+    pub(crate) fn pump(rx: Receiver<Parcel>, rendezvous: Arc<Rendezvous>) {
         while let Ok(parcel) = rx.recv() {
-            handlers.dispatch(parcel, &rendezvous);
+            rendezvous.deliver(parcel.tag, parcel.payload);
         }
-    }
-
-    pub(crate) fn pump_parts(&self) -> (Arc<Rendezvous>, Arc<HandlerTable>) {
-        (self.rendezvous.clone(), self.handlers.clone())
     }
 }
 

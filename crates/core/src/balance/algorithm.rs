@@ -313,23 +313,13 @@ pub fn plan_rebalance(own: &Ownership, busy: &[f64]) -> MigrationPlan {
 pub fn plan_rebalance_with_cost(own: &Ownership, busy: &[f64], cost: &CostParams) -> MigrationPlan {
     let n = own.n_nodes() as usize;
     assert_eq!(busy.len(), n, "one busy time per node");
-    plan_rebalance_from_metrics(own, compute_metrics(&own.counts(), busy), cost)
+    plan_rebalance_ghost_aware(own, compute_metrics(&own.counts(), busy), cost, None)
 }
 
 /// [`plan_rebalance_with_cost`] from precomputed eqs. 8–10 metrics — the
 /// entry point of the tree policy in the pluggable [`crate::balance::policy`]
 /// layer, where every policy receives the same [`LoadMetrics`] and the
-/// caller computed them once. Ghost-blind: [`plan_rebalance_ghost_aware`]
-/// with no [`SdGraph`].
-pub fn plan_rebalance_from_metrics(
-    own: &Ownership,
-    metrics: LoadMetrics,
-    cost: &CostParams,
-) -> MigrationPlan {
-    plan_rebalance_ghost_aware(own, metrics, cost, None)
-}
-
-/// [`plan_rebalance_from_metrics`] with the SD adjacency / halo-volume
+/// caller computed them once — with the SD adjacency / halo-volume
 /// graph attached: every candidate transfer is scored
 /// `relief − λ·migration_seconds − μ·Δghost_seconds`, where the last term
 /// is the move's [`SdGraph`] edge-cut delta priced by link class

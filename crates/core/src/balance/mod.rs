@@ -50,6 +50,7 @@
 //! stages the old→new diff as budgeted single-hop plans.
 
 pub mod algorithm;
+pub mod epoch;
 pub mod hier;
 pub mod policy;
 pub mod power;
@@ -59,10 +60,10 @@ pub mod transfer;
 pub mod tree;
 
 pub use algorithm::{
-    ghost_delta_seconds, iterate_rebalance, plan_rebalance, plan_rebalance_from_metrics,
-    plan_rebalance_ghost_aware, plan_rebalance_with_cost, CostParams, MigrationPlan, Move,
-    PlanComm, SdBytes,
+    ghost_delta_seconds, iterate_rebalance, plan_rebalance, plan_rebalance_ghost_aware,
+    plan_rebalance_with_cost, CostParams, MigrationPlan, Move, PlanComm, SdBytes,
 };
+pub use epoch::{EpochController, EpochInput, EpochPlan, EpochRecords, EpochSetup};
 pub use hier::{hierarchy_is_degenerate, plan_hierarchical, HierPolicy};
 pub use nlheat_partition::SdGraph;
 pub use policy::{

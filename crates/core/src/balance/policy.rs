@@ -133,13 +133,6 @@ impl LbNetwork {
         self
     }
 
-    /// Attach the elastic-membership mask (one flag per rank; `false` =
-    /// drained / failed / not yet joined).
-    pub fn with_active(mut self, active: Arc<Vec<bool>>) -> Self {
-        self.active = Some(active);
-        self
-    }
-
     /// Derive the view from a network spec (what `DistConfig`/`SimConfig`
     /// do with their configured `net`).
     pub fn from_spec(spec: &NetSpec, sd_bytes: impl Into<SdBytes>) -> Self {

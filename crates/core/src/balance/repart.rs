@@ -1,5 +1,5 @@
 //! Cut-aware repartitioning and elastic-membership evacuation — the
-//! global-replan escape hatch behind [`LbSpec::Repartition`].
+//! global-replan escape hatch behind [`LbSpec::Repartition`](crate::balance::LbSpec::Repartition).
 //!
 //! Every incremental policy (tree, diffusion, greedy-steal, hierarchical)
 //! only ever *nudges* ownership, so μ-gating merely slows ghost-cut decay:

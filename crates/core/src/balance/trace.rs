@@ -111,7 +111,7 @@ impl EpochTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance::algorithm::{plan_rebalance_from_metrics, CostParams};
+    use crate::balance::algorithm::{plan_rebalance_ghost_aware, CostParams};
     use crate::balance::power::compute_metrics;
     use nlheat_mesh::SdGrid;
     use nlheat_netmodel::{LinkSpec, NetSpec, TopologySpec};
@@ -136,10 +136,11 @@ mod tests {
         let graph = Arc::new(SdGraph::build(&sds, 1));
         let net =
             LbNetwork::for_sd_tiles(&two_rack(), sds.cells_per_sd()).with_sd_graph(graph.clone());
-        let plan = plan_rebalance_from_metrics(
+        let plan = plan_rebalance_ghost_aware(
             &own,
             metrics,
             &CostParams::new(net.comm, 0.0, net.sd_bytes.clone()),
+            None,
         );
         assert!(!plan.is_noop());
         let trace = EpochTrace::record(4, "tree", &plan, &own, &net);

@@ -5,9 +5,13 @@
 //! case-2 (foreign-independent) computation launched immediately while
 //! case-1 computation is a dataflow continuation on the ghost futures
 //! (§6.3, Fig. 5) — so communication hides behind computation — and, every
-//! [`LbSchedule::period`] steps, a full load-balancing epoch: busy-time
-//! gather, plan on locality 0 via the configured [`LbSpec`] policy
-//! (Algorithm 1 by default), broadcast, SD migration, counter reset (§7).
+//! [`LbSchedule::period`] steps, a full load-balancing epoch (§7): the
+//! busy times are gathered on locality 0 with
+//! [`nlheat_amt::collectives::gather`], planned there by the run's
+//! [`EpochController`] — the configured [`LbSpec`] policy (Algorithm 1 by
+//! default) behind the epoch protocol the simulator shares — broadcast
+//! with [`nlheat_amt::collectives::broadcast`], and realized by SD
+//! migration and a busy-counter reset.
 //!
 //! There is deliberately **no global barrier between timesteps**: tags
 //! carry the step index, so a fast node may run ahead and its messages are
@@ -15,15 +19,16 @@
 //! asynchronous pipelining an AMT runtime buys.
 
 pub use crate::balance::LbSpec;
-use crate::balance::{compute_metrics, EpochTrace, LbNetwork, LbSchedule, Move, SdGraph};
-use crate::ownership::Ownership;
-use crate::scenario::{
-    active_at, failed_at, modeled_busy, nominal_sec_per_dp, LbInput, PartitionSpec,
+use crate::balance::{
+    EpochController, EpochInput, EpochPlan, EpochRecords, EpochSetup, EpochTrace, LbSchedule, Move,
 };
+use crate::ownership::Ownership;
+use crate::scenario::{failed_at, nominal_sec_per_dp, LbInput, PartitionSpec};
 use crate::workload::WorkModel;
 use bytes::{Bytes, BytesMut};
 use nlheat_amt::cluster::{Cluster, ClusterBuilder};
-use nlheat_amt::codec::{decode_f64_rows, encode_f64_rows, Wire};
+use nlheat_amt::codec::{decode_f64_rows, encode_f64_rows};
+use nlheat_amt::collectives::{broadcast, gather};
 use nlheat_amt::future::{when_all, Future};
 use nlheat_amt::locality::Locality;
 use nlheat_amt::parcel::tag;
@@ -40,10 +45,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Parcel tag classes of the solver protocol.
+/// Parcel tag classes of the solver protocol (the balancing epoch's
+/// gather and broadcast use the collectives' own class).
 const CLASS_GHOST: u8 = 1;
-const CLASS_LBSTAT: u8 = 2;
-const CLASS_LBPLAN: u8 = 3;
 const CLASS_MIGRATE: u8 = 4;
 
 /// Configuration of a distributed run — the low-level execution config of
@@ -78,8 +82,8 @@ pub struct DistConfig {
     pub work_schedule: Vec<(usize, WorkModel)>,
     /// Elastic cluster-membership timeline (`(from_step, event)`, sorted
     /// by step; see [`crate::scenario::ClusterEvent`]). Events change the
-    /// planner's view — the active-rank mask on locality 0's
-    /// [`LbNetwork`] and the failure mask the ghost counters honour —
+    /// planner's view — the active-rank mask of the
+    /// [`EpochController`] and the failure mask the ghost counters honour —
     /// never the execution: every locality keeps computing the SDs it
     /// owns until a replan evacuates them, so the field stays bit-exact.
     pub cluster_events: Vec<(usize, crate::scenario::ClusterEvent)>,
@@ -101,9 +105,9 @@ pub struct DistConfig {
     pub intra_step_stealing: bool,
     /// Per-locality memory capacities in bytes (`None` = unbounded),
     /// indexed by locality id. Empty = memory-blind planning (the
-    /// historical behaviour). When any cap is set the driver attaches the
-    /// capacities and the per-SD resident footprints to its [`LbNetwork`]
-    /// so memory-aware policies gate destinations on them.
+    /// historical behaviour). When any cap is set the [`EpochController`]
+    /// attaches the capacities and the per-SD resident footprints to its
+    /// planning view so memory-aware policies gate destinations on them.
     pub memory_bytes: Vec<Option<u64>>,
 }
 
@@ -201,10 +205,6 @@ pub struct DistReport {
     pub pool_parks: Vec<u64>,
 }
 
-/// Memory-aware planning tables: per-locality capacities (`u64::MAX` =
-/// unbounded) and per-SD resident footprints.
-type MemoryTables = (Arc<Vec<u64>>, Arc<Vec<u64>>);
-
 /// Ownership-independent, cluster-wide setup shared by all drivers.
 struct Setup {
     cfg: DistConfig,
@@ -215,21 +215,11 @@ struct Setup {
     /// Reverse index: for each source SD, the `(destination SD, patch
     /// index)` pairs that read from it.
     reverse: Vec<Vec<(SdId, u16)>>,
-    /// The SD adjacency / halo-volume graph derived from `plans` — the
-    /// planner's view of the recurring ghost traffic the real parcels
-    /// produce.
-    sd_graph: Arc<SdGraph>,
     initial_owners: Vec<u32>,
-    /// Memory-aware planning tables, built once when any locality declares
-    /// a cap.
-    memory: Option<MemoryTables>,
     n_nodes: u32,
-    /// Per-locality speed factors (from the cluster), for modeled busy.
-    speeds: Vec<f64>,
-    /// Nominal per-DP seconds of this problem's stencil — the scale the
-    /// modeled planning inputs share with the simulator's calibrated cost
-    /// model.
-    sec_per_dp: f64,
+    /// The balancer, when the run has one: built here, on the caller's
+    /// thread, and taken by locality 0's driver.
+    epochs: Mutex<Option<EpochController>>,
 }
 
 impl Setup {
@@ -257,20 +247,31 @@ impl Setup {
             }
         }
         let initial_owners = cfg.partition.initial_owners(&sds, n_nodes);
-        let sd_graph = Arc::new(SdGraph::from_plans(&sds, &plans));
-        let sec_per_dp = nominal_sec_per_dp(Stencil::build(grid.h, grid.eps).len());
-        let memory = cfg.memory_bytes.iter().any(Option::is_some).then(|| {
-            assert_eq!(
-                cfg.memory_bytes.len(),
-                n_nodes as usize,
-                "memory_bytes must name every locality"
-            );
-            let caps: Vec<u64> = cfg
-                .memory_bytes
-                .iter()
-                .map(|c| c.unwrap_or(u64::MAX))
-                .collect();
-            (Arc::new(caps), Arc::new(sd_graph.footprints()))
+        // The planning view prices the parcels this driver sends: the
+        // controller's SD graph is built from the same halo geometry as
+        // `plans`. A degenerate schedule panics here, not inside the
+        // locality-0 driver, where it would leave the other localities
+        // blocked on the plan broadcast forever.
+        let epochs = cfg.lb.as_ref().map(|lb| {
+            EpochController::new(
+                lb,
+                EpochSetup {
+                    n_steps: cfg.n_steps,
+                    input: cfg.lb_input,
+                    sds,
+                    halo: grid.halo,
+                    net: cfg.net,
+                    speeds,
+                    sec_per_dp: nominal_sec_per_dp(Stencil::build(grid.h, grid.eps).len()),
+                    memory_bytes: cfg.memory_bytes.iter().any(Option::is_some).then(|| {
+                        cfg.memory_bytes
+                            .iter()
+                            .map(|c| c.unwrap_or(u64::MAX))
+                            .collect()
+                    }),
+                    cluster_events: cfg.cluster_events.clone(),
+                },
+            )
         });
         Setup {
             cfg,
@@ -278,12 +279,9 @@ impl Setup {
             sds,
             plans,
             reverse,
-            sd_graph,
             initial_owners,
-            memory,
             n_nodes,
-            speeds,
-            sec_per_dp,
+            epochs: Mutex::new(epochs),
         }
     }
 }
@@ -359,13 +357,11 @@ struct NodeReport {
     sd_fields: Vec<(SdId, Vec<f64>)>,
     error_partials: Vec<f64>,
     busy_ns: u64,
-    in_migrations: usize,
     /// Planner-grade ghost bytes this locality *sent* to other localities.
     ghost_bytes: u64,
     inter_rack_ghost_bytes: u64,
-    lb_counts: Vec<Vec<usize>>,
-    lb_plans: Vec<Vec<Move>>,
-    lb_traces: Vec<EpochTrace>,
+    /// The balancing records (locality 0 only).
+    epochs: Option<EpochRecords>,
     /// Worker-pool steal counters of this locality over the whole run.
     pool_steals: u64,
     pool_steal_fails: u64,
@@ -389,18 +385,11 @@ pub fn run_distributed(cluster: &Cluster, cfg: &DistConfig) -> DistReport {
         cfg.net,
         cluster.net_spec()
     );
-    // Reject a degenerate policy parameter here (covers direct field
-    // assignment that bypassed `with_spec`): a panic inside the locality-0
-    // driver at the first LB epoch would leave the other localities
-    // blocked on the plan rendezvous forever.
-    if let Some(lb) = &cfg.lb {
-        lb.validate();
-    }
     let n_nodes = cluster.len() as u32;
     let speeds: Vec<f64> = cluster.localities().iter().map(|l| l.speed()).collect();
     let setup = Arc::new(Setup::build(cfg.clone(), n_nodes, speeds));
     let t0 = Instant::now();
-    let reports = cluster.run(|loc| driver(loc, setup.clone()));
+    let mut reports = cluster.run(|loc| driver(loc, setup.clone()));
     let elapsed = t0.elapsed();
 
     // Assemble the global field.
@@ -428,21 +417,9 @@ pub fn run_distributed(cluster: &Cluster, cfg: &DistConfig) -> DistReport {
         }
         acc
     });
-    let migrations = reports.iter().map(|r| r.in_migrations).sum();
-    let lb_history = reports
-        .iter()
-        .map(|r| r.lb_counts.clone())
-        .find(|h| !h.is_empty())
-        .unwrap_or_default();
-    let epoch_traces = reports
-        .iter()
-        .map(|r| r.lb_traces.clone())
-        .find(|t| !t.is_empty())
-        .unwrap_or_default();
-    let lb_plans = reports
-        .iter()
-        .map(|r| r.lb_plans.clone())
-        .find(|p| !p.is_empty())
+    let lb = reports
+        .first_mut()
+        .and_then(|r| r.epochs.take())
         .unwrap_or_default();
     DistReport {
         elapsed,
@@ -450,17 +427,14 @@ pub fn run_distributed(cluster: &Cluster, cfg: &DistConfig) -> DistReport {
         field,
         final_ownership: Ownership::new(setup.sds, final_owners, n_nodes),
         busy_ns: reports.iter().map(|r| r.busy_ns).collect(),
-        migrations,
-        migration_bytes: epoch_traces.iter().map(|t| t.migration_bytes).sum(),
-        inter_rack_migration_bytes: epoch_traces
-            .iter()
-            .map(|t| t.inter_rack_migration_bytes)
-            .sum(),
+        migrations: lb.migrations(),
+        migration_bytes: lb.migration_bytes(),
+        inter_rack_migration_bytes: lb.inter_rack_migration_bytes(),
         ghost_bytes: reports.iter().map(|r| r.ghost_bytes).sum(),
         inter_rack_ghost_bytes: reports.iter().map(|r| r.inter_rack_ghost_bytes).sum(),
-        lb_history,
-        lb_plans,
-        epoch_traces,
+        lb_history: lb.lb_history,
+        lb_plans: lb.lb_plans,
+        epoch_traces: lb.epoch_traces,
         pool_steals: reports.iter().map(|r| r.pool_steals).collect(),
         pool_steal_fails: reports.iter().map(|r| r.pool_steal_fails).collect(),
         pool_parks: reports.iter().map(|r| r.pool_parks).collect(),
@@ -520,14 +494,10 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     // migrations so steady-state balancing stops allocating tile pairs.
     let mut tile_pool: Vec<Tile> = Vec::new();
     let mut error_partials = Vec::with_capacity(cfg.n_steps);
-    let mut in_migrations = 0usize;
     // Busy time of the balancing windows already closed: every epoch
     // resets the busy counter, so the report adds each window to this
     // total as it closes and the tail since the last epoch at the end.
     let mut busy_closed_ns = 0u64;
-    let mut lb_counts: Vec<Vec<usize>> = Vec::new();
-    let mut lb_plans: Vec<Vec<Move>> = Vec::new();
-    let mut lb_traces: Vec<EpochTrace> = Vec::new();
     // Planner-grade ghost-traffic counters (what this locality sends):
     // per foreign patch the same `patch_wire_bytes` the simulator charges
     // and the SdGraph weighs, so both substrates' counters agree under
@@ -541,29 +511,21 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     let mut window_ghost_ns = 0u64;
     let spawner = loc.spawner();
 
-    // Locality 0 plans every epoch through one policy instance, kept
-    // alive across epochs so stateful policies (the adaptive-λ decorator)
-    // can learn from the measured migration stalls.
-    let mut policy = if me == 0 {
-        cfg.lb.as_ref().map(|lb| lb.spec.build())
+    // Locality 0 plans every epoch through the run's one controller,
+    // against the cluster-wide clock it measures windows on.
+    let mut epochs = if me == 0 {
+        setup.epochs.lock().take()
     } else {
         None
     };
-    // The planning view: the fabric's CommCost plus the SD adjacency /
-    // halo-volume graph of the *real* halo plans, so μ-weighted policies
-    // price the recurring parcels this driver sends every step (to within
-    // the constant framing word `patch_wire_bytes` documents).
-    let mut lb_net =
-        LbNetwork::for_sd_tiles(&cfg.net, sds.cells_per_sd()).with_sd_graph(setup.sd_graph.clone());
-    if let Some((caps, footprints)) = &setup.memory {
-        lb_net = lb_net.with_memory(caps.clone(), footprints.clone());
-    }
+    let clock = Instant::now();
+    // Link classes for the inter-rack ghost counter: the same CommCost the
+    // planner prices moves with.
+    let comm_cost = cfg.net.comm_cost();
     // Wall time this locality spent in the previous epoch's migration
-    // exchange (gathered with the busy times as the adaptive-λ stall
-    // signal) and, on locality 0, the length of the previous window.
+    // exchange, gathered with the busy times as the adaptive-λ stall
+    // signal.
     let mut prev_stall_ns = 0u64;
-    let mut prev_window_secs: Option<f64> = None;
-    let mut window_t0 = Instant::now();
 
     // The owned-SD list and outgoing send records change only when a
     // migration epoch rewrites ownership, so they are rebuilt together
@@ -607,7 +569,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                         pidx,
                         src_rect: patch.src_rect,
                         wire: patch_wire_bytes(patch.dst_rect.area()),
-                        inter_rack: lb_net.comm.link_class(me, dst_owner) == LinkClass::InterRack,
+                        inter_rack: comm_cost.link_class(me, dst_owner) == LinkClass::InterRack,
                     });
                 }
             }
@@ -864,105 +826,45 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         }
 
         // --- 6. load-balancing epoch (the configured LbSpec policy) ---
-        let do_lb = cfg
-            .lb
-            .as_ref()
-            .is_some_and(|lb| (step + 1) % lb.period == 0 && step + 1 < cfg.n_steps);
-        if do_lb {
-            let lb_cfg = cfg.lb.as_ref().unwrap();
-            let epoch = ((step + 1) / lb_cfg.period) as u64;
-            // gather busy times on locality 0, piggybacking the wall time
-            // each locality spent in the *previous* epoch's migration
-            // exchange — the cluster-wide stall signal adaptive policies
-            // feed on (locality 0's own exchange alone would miss
-            // migrations flowing entirely between other localities)
-            let busy = loc.busy_time_ns();
-            loc.send(
-                0,
-                tag(CLASS_LBSTAT, epoch, me as u64, 0),
-                (busy, states.len() as u64, prev_stall_ns, window_ghost_ns).to_bytes(),
+        if cfg.lb.as_ref().is_some_and(|lb| lb.due(step, cfg.n_steps)) {
+            let epoch = step as u64;
+            // Gather on locality 0: busy time, owned-SD count, the wall
+            // time spent in the *previous* epoch's migration exchange and
+            // this window's ghost stall (locality 0's own exchange alone
+            // would miss migrations flowing between other localities).
+            // The planner does not read the count; it keeps the stat at
+            // the four words perfbench's fabric replay rebuilds.
+            let stat = (
+                loc.busy_time_ns(),
+                states.len() as u64,
+                prev_stall_ns,
+                window_ghost_ns,
             );
-            let plan_fut = loc.expect(tag(CLASS_LBPLAN, epoch, me as u64, 0));
-            if me == 0 {
-                let stat_futs: Vec<Future<Bytes>> = (0..setup.n_nodes)
-                    .map(|n| loc.expect(tag(CLASS_LBSTAT, epoch, n as u64, 0)))
-                    .collect();
-                let mut measured_busy = Vec::with_capacity(setup.n_nodes as usize);
-                let mut max_stall_ns = 0u64;
-                let mut max_ghost_ns = 0u64;
-                for fut in stat_futs {
-                    let (busy_ns, _count, stall_ns, ghost_ns) =
-                        <(u64, u64, u64, u64)>::from_bytes(fut.get()).expect("corrupt LB stat");
-                    // seconds, so relief is commensurable with the
-                    // CommCost transfer estimates the planner weighs in
-                    measured_busy.push((busy_ns as f64 * 1e-9).max(1e-12));
-                    max_stall_ns = max_stall_ns.max(stall_ns);
-                    max_ghost_ns = max_ghost_ns.max(ghost_ns);
-                }
-                let policy = policy.as_mut().expect("locality 0 holds the policy");
-                if cfg.lb_input == LbInput::Measured {
-                    // Controller updates before planning: the previous
-                    // epoch's measured migration stall (worst locality)
-                    // over the previous window, and this window's worst
-                    // ghost stall, so the nudged λ/μ steer *this* epoch's
-                    // plan. Modeled planning disables runtime feedback —
-                    // determinism is the point of that mode.
-                    if let Some(window) = prev_window_secs {
-                        policy.observe_stall((max_stall_ns as f64 * 1e-9) / window.max(1e-9));
-                    }
-                    let window_now = window_t0.elapsed().as_secs_f64().max(1e-9);
-                    policy.observe_ghost_stall((max_ghost_ns as f64 * 1e-9) / window_now);
-                }
-                let busy_vec = match cfg.lb_input {
-                    LbInput::Measured => measured_busy,
-                    // Deterministic planner input derived from the
-                    // declared work model — byte-identical to what the
-                    // simulator computes for the same scenario.
-                    LbInput::Modeled => modeled_busy(
-                        &sds,
-                        &owners,
-                        setup.n_nodes,
-                        cfg.work_at(step),
-                        &setup.speeds,
-                        setup.sec_per_dp,
-                    ),
+            let stats = gather(&loc, setup.n_nodes, epoch, &stat).expect("corrupt LB stat");
+            // Locality 0 plans and broadcasts `(sd, from, to)` triples.
+            let plan = stats.zip(epochs.as_mut()).map(|(stats, ctl)| {
+                let secs = |ns: u64| ns as f64 * 1e-9;
+                let worst = |f: fn(&(u64, u64, u64, u64)) -> u64| {
+                    secs(stats.iter().map(f).max().unwrap_or(0))
                 };
+                let busy: Vec<f64> = stats.iter().map(|s| secs(s.0)).collect();
                 let ownership = Ownership::new(sds, owners.clone(), setup.n_nodes);
-                // The policy sees the same network the fabric was built
-                // with: locality 0 derives the LbNetwork cost estimate
-                // from the config's NetSpec — plus, under an elastic
-                // timeline, the membership mask in effect at this epoch
-                // (shared `active_at`, so both substrates see the same
-                // mask for the same scenario).
-                if !cfg.cluster_events.is_empty() {
-                    lb_net.active = Some(Arc::new(active_at(
-                        setup.n_nodes as usize,
-                        &cfg.cluster_events,
-                        step + 1,
-                    )));
-                }
-                let metrics = compute_metrics(&ownership.counts(), &busy_vec);
-                let plan = policy.plan(&ownership, &metrics, &lb_net);
-                let wire: Vec<(u64, u32, u32)> = plan
-                    .moves
+                let EpochPlan { plan, .. } = ctl.epoch(EpochInput {
+                    step,
+                    ownership: &ownership,
+                    busy: &busy,
+                    ghost_stall: worst(|s| s.3),
+                    migration_stall: worst(|s| s.2),
+                    barrier: clock.elapsed().as_secs_f64(),
+                    work: cfg.work_at(step),
+                });
+                plan.moves
                     .iter()
                     .map(|m| (m.sd as u64, m.from, m.to))
-                    .collect();
-                if !plan.moves.is_empty() {
-                    lb_traces.push(
-                        EpochTrace::record(step + 1, policy.name(), &plan, &ownership, &lb_net)
-                            .with_drift(policy.drift_info()),
-                    );
-                    // take the move list instead of cloning it
-                    lb_plans.push(plan.moves);
-                }
-                let payload = wire.to_bytes();
-                for n in 0..setup.n_nodes {
-                    loc.send(n, tag(CLASS_LBPLAN, epoch, n as u64, 0), payload.clone());
-                }
-            }
-            let moves: Vec<(u64, u32, u32)> =
-                Wire::from_bytes(plan_fut.get()).expect("corrupt LB plan");
+                    .collect::<Vec<_>>()
+            });
+            let moves =
+                broadcast(&loc, setup.n_nodes, epoch, plan.as_ref()).expect("corrupt LB plan");
             let migrate_t0 = Instant::now();
             // send outgoing SDs first, then collect incoming; tiles of
             // migrated-away SDs go back to the pool (all step tasks have
@@ -1017,11 +919,10 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                         }),
                     },
                 );
-                in_migrations += 1;
             }
             comm_dirty = true;
             // Record this locality's migration-exchange time for the next
-            // epoch's LBSTAT gather (0 for an empty plan — nothing
+            // epoch's stat gather (0 for an empty plan — nothing
             // shipped, nothing stalled).
             prev_stall_ns = if moves.is_empty() {
                 0
@@ -1033,19 +934,6 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
             // Algorithm 1 line 35: reset the busy-time counters so the next
             // epoch measures a fresh interval.
             busy_closed_ns += loc.busy_counter().reset();
-            if me == 0 {
-                prev_window_secs = Some(window_t0.elapsed().as_secs_f64());
-                window_t0 = Instant::now();
-                // Metrics emission is skipped for empty plans so
-                // idle-policy runs don't record no-op epochs.
-                if !moves.is_empty() {
-                    let mut counts = vec![0usize; setup.n_nodes as usize];
-                    for &o in &owners {
-                        counts[o as usize] += 1;
-                    }
-                    lb_counts.push(counts);
-                }
-            }
         }
     }
 
@@ -1066,12 +954,9 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         sd_fields,
         error_partials,
         busy_ns: busy_closed_ns + loc.busy_time_ns(),
-        in_migrations,
         ghost_bytes,
         inter_rack_ghost_bytes,
-        lb_counts,
-        lb_plans,
-        lb_traces,
+        epochs: epochs.map(EpochController::finish),
         pool_steals: loc.pool().steals_total(),
         pool_steal_fails: loc.pool().steal_fails_total(),
         pool_parks: loc.pool().parks_total(),
@@ -1089,6 +974,23 @@ mod tests {
         let mut s = SerialSolver::manufactured(&parts);
         s.run(steps);
         s.field()
+    }
+
+    #[test]
+    fn no_schedule_builds_no_graph() {
+        let mut cfg = DistConfig::new(16, 2.0, 4, 4);
+        let setup = Setup::build(cfg.clone(), 2, vec![1.0; 2]);
+        assert!(setup.epochs.lock().is_none());
+        cfg.lb = Some(LbSchedule::every(2));
+        cfg.memory_bytes = vec![None, Some(1 << 20)];
+        let setup = Setup::build(cfg, 2, vec![1.0; 2]);
+        let epochs = setup.epochs.lock();
+        let net = epochs
+            .as_ref()
+            .expect("a schedule builds a controller")
+            .net();
+        assert!(net.sd_graph.is_some());
+        assert_eq!(net.memory_bytes.as_deref(), Some(&vec![u64::MAX, 1 << 20]));
     }
 
     #[test]

@@ -743,11 +743,6 @@ impl Scenario {
     pub fn run_dist(&self) -> RunReport {
         DistSubstrate.run(self)
     }
-
-    /// Execute on a substrate chosen at runtime.
-    pub fn run_on(&self, substrate: &dyn Substrate) -> RunReport {
-        substrate.run(self)
-    }
 }
 
 /// The workload in effect at `step` under a base model + switch schedule —

@@ -4,11 +4,11 @@
 //! scale — 10k ranks over a million SDs — where actually timestepping the
 //! mesh (on either substrate) would swamp the measurement and the memory
 //! of a CI box. [`PlanSubstrate`] realizes a [`Scenario`] as exactly one
-//! load-balancing epoch: it derives the deterministic modeled busy times
-//! the [`super::LbInput::Modeled`] parity mode uses, builds the same
-//! [`LbNetwork`] view both real substrates hand their policies (SD graph,
-//! memory capacities, per-SD footprints), runs the configured policy's
-//! `plan` once under a wall clock, and reports the plan itself — through
+//! load-balancing epoch of the same [`EpochController`] both real
+//! substrates run, under the deterministic modeled busy times of the
+//! [`LbInput::Modeled`] parity mode: the same planning view (SD graph,
+//! memory capacities, per-SD footprints), the configured policy's `plan`
+//! called once under a wall clock, and the plan itself reported — through
 //! the same [`RunReport`] shape, so [`super::sweep::ScenarioSweep`] can
 //! sweep plan time over rank counts like any other measurement.
 //!
@@ -18,11 +18,10 @@
 //! against the scenario's memory capacities exactly as it does for full
 //! runs.
 
-use super::{modeled_busy, work_at, RunExtras, RunReport, Scenario, Substrate};
-use crate::balance::{compute_metrics, EpochTrace, LbNetwork};
+use super::{LbInput, RunExtras, RunReport, Scenario, Substrate};
+use crate::balance::{EpochController, EpochInput, EpochPlan, EpochSetup};
 use crate::ownership::Ownership;
-use std::sync::Arc;
-use std::time::Instant;
+use nlheat_mesh::Grid;
 
 /// What only a plan-only run can measure.
 #[derive(Debug, Clone)]
@@ -51,65 +50,54 @@ impl Substrate for PlanSubstrate {
             .expect("PlanSubstrate needs an LB schedule: there is nothing to time without one");
         let sds = scenario.sd_grid();
         let n_nodes = scenario.cluster.len() as u32;
-        let owners = scenario.partition.initial_owners(&sds, n_nodes);
-        // The deterministic modeled planning input (the cross-substrate
-        // parity mode's busy times) at the first balancing step.
-        let busy = modeled_busy(
-            &sds,
-            &owners,
+        let cluster = &scenario.cluster;
+        let setup = EpochSetup {
+            n_steps: scenario.steps,
+            // there is no run to measure: plan from the modeled busy times
+            input: LbInput::Modeled,
+            sds,
+            halo: Grid::square(scenario.problem.n, scenario.problem.eps_mult).halo,
+            net: scenario.net,
+            speeds: cluster.speed_factors(),
+            sec_per_dp: scenario.sec_per_dp(),
+            memory_bytes: cluster
+                .has_memory_caps()
+                .then(|| cluster.memory_capacities()),
+            cluster_events: scenario.cluster_events.clone(),
+        };
+        let mut epochs = EpochController::new(lb, setup);
+        let ownership = Ownership::new(
+            sds,
+            scenario.partition.initial_owners(&sds, n_nodes),
             n_nodes,
-            work_at(&scenario.work, &scenario.work_schedule, 0),
-            &scenario.cluster.speed_factors(),
-            scenario.sec_per_dp(),
         );
-        let ownership = Ownership::new(sds, owners.clone(), n_nodes);
-        let metrics = compute_metrics(&ownership.counts(), &busy);
-        let sd_graph = Arc::new(scenario.sd_graph());
-        let mut net = LbNetwork::for_sd_tiles(&scenario.net, sds.cells_per_sd())
-            .with_sd_graph(sd_graph.clone());
-        if scenario.cluster.has_memory_caps() {
-            net = net.with_memory(
-                Arc::new(scenario.cluster.memory_capacities()),
-                Arc::new(sd_graph.footprints()),
-            );
-        }
-        let mut policy = lb.spec.build();
-
-        // Everything above is setup either real substrate would amortize
-        // over a whole run; the measured quantity is the planning call.
-        let t0 = Instant::now();
-        let plan = policy.plan(&ownership, &metrics, &net);
-        let plan_seconds = t0.elapsed().as_secs_f64();
-
-        let mut final_owners = owners;
-        for m in &plan.moves {
-            final_owners[m.sd as usize] = m.to;
-        }
-        let realized = !plan.moves.is_empty();
-        let trace =
-            realized.then(|| EpochTrace::record(lb.period, policy.name(), &plan, &ownership, &net));
-        let final_ownership = Ownership::new(sds, final_owners, n_nodes);
+        // The first balancing step. Everything above is setup either real
+        // substrate would amortize over a whole run; the measured quantity
+        // is the planning call the controller times.
+        let step = lb.period - 1;
+        let EpochPlan { plan, plan_seconds } = epochs.epoch(EpochInput {
+            step,
+            ownership: &ownership,
+            busy: &[],
+            ghost_stall: 0.0,
+            migration_stall: 0.0,
+            barrier: 0.0,
+            work: scenario.work_at(step),
+        });
+        let records = epochs.finish();
         RunReport {
             substrate: "plan",
             makespan: plan_seconds,
-            busy,
-            migrations: plan.moves.len(),
-            migration_bytes: trace.as_ref().map_or(0, |t| t.migration_bytes),
-            inter_rack_migration_bytes: trace.as_ref().map_or(0, |t| t.inter_rack_migration_bytes),
+            busy: plan.metrics.busy,
+            migrations: records.migrations(),
+            migration_bytes: records.migration_bytes(),
+            inter_rack_migration_bytes: records.inter_rack_migration_bytes(),
             ghost_bytes: 0,
             inter_rack_ghost_bytes: 0,
-            lb_history: if realized {
-                vec![final_ownership.counts()]
-            } else {
-                Vec::new()
-            },
-            lb_plans: if realized {
-                vec![plan.moves]
-            } else {
-                Vec::new()
-            },
-            epoch_traces: trace.into_iter().collect(),
-            final_ownership,
+            lb_history: records.lb_history,
+            lb_plans: records.lb_plans,
+            epoch_traces: records.epoch_traces,
+            final_ownership: plan.new_ownership,
             field: None,
             error: None,
             memory_bytes: None,

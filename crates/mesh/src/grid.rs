@@ -1,6 +1,6 @@
 //! Uniform grid over the unit square with its nonlocal collar.
 //!
-//! The material domain D = [0,1]² is discretized with `nx × ny`
+//! The material domain D = \[0,1\]² is discretized with `nx × ny`
 //! cell-centered points of spacing `h = 1/nx` (the paper uses square meshes,
 //! `nx = ny`; rectangles are supported for generality). The nonlocal
 //! boundary D_c is the surrounding collar of width ε where the temperature

@@ -78,11 +78,6 @@ impl Rect {
                 && other.y0 >= self.y0
                 && other.y1() <= self.y1())
     }
-
-    /// Whether two rectangles share at least one cell.
-    pub fn overlaps(&self, other: &Rect) -> bool {
-        !self.intersect(other).is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -21,16 +21,14 @@ pub mod influence;
 pub mod kernel;
 pub mod manufactured;
 pub mod norms;
-pub mod one_dim;
 pub mod problem;
 pub mod serial;
 
 pub mod prelude {
-    pub use crate::influence::{conductivity_constant_1d, conductivity_constant_2d, Influence};
+    pub use crate::influence::{conductivity_constant_2d, Influence};
     pub use crate::kernel::{zero_source, KernelPlan, NonlocalKernel, SourceFn};
     pub use crate::manufactured::Manufactured;
     pub use crate::norms::ErrorAccumulator;
-    pub use crate::one_dim::{Serial1dSolver, Stencil1d};
     pub use crate::problem::{ProblemParts, ProblemSpec};
     pub use crate::serial::SerialSolver;
 }

@@ -44,7 +44,7 @@ pub mod time {
     /// Model seconds → wall-clock `Duration`. Negative and NaN inputs
     /// clamp to zero (a model can never schedule an arrival before its
     /// send). Positive infinity is rejected: it cannot arise from a
-    /// validated [`super::NetSpec`] (see [`super::LinkSpec::validate`]),
+    /// validated [`super::NetSpec`] (see `LinkSpec::validate`),
     /// and clamping it in either direction would make the real fabric
     /// silently disagree with the simulator.
     ///
@@ -674,7 +674,7 @@ impl NetSpec {
     ///
     /// # Panics
     /// Panics on non-finite or negative latency, or zero/negative
-    /// bandwidth — see [`LinkSpec::validate`].
+    /// bandwidth — see `LinkSpec::validate`.
     ///
     /// [`build`]: NetSpec::build
     pub fn validate(&self) {

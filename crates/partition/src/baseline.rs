@@ -1,8 +1,8 @@
 //! Naive partitioners used as ablation baselines.
 //!
 //! The paper credits METIS partitioning with reduced data exchange (§6.2);
-//! ablation A1 quantifies that against the obvious alternatives: row-major
-//! strips and rectangular blocks.
+//! ablation A1 quantifies that against the obvious alternative: row-major
+//! strips.
 
 use nlheat_mesh::SdGrid;
 
@@ -16,23 +16,11 @@ pub fn strip_partition(sds: &SdGrid, k: u32) -> Vec<u32> {
         .collect()
 }
 
-/// Block partition into a `kx × ky` grid of rectangles (`k = kx·ky`).
-pub fn block_partition(sds: &SdGrid, kx: u32, ky: u32) -> Vec<u32> {
-    let mut parts = vec![0u32; sds.count()];
-    for id in sds.ids() {
-        let (sx, sy) = sds.coords(id);
-        let px = (sx as u64 * kx as u64 / sds.nsx as u64) as u32;
-        let py = (sy as u64 * ky as u64 / sds.nsy as u64) as u32;
-        parts[id as usize] = py * kx + px;
-    }
-    parts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dual::sd_dual_graph;
-    use crate::metrics::{balance, edge_cut};
+    use crate::metrics::balance;
 
     #[test]
     fn strip_parts_are_balanced() {
@@ -48,26 +36,5 @@ mod tests {
         let parts = strip_partition(&sds, 2);
         assert_eq!(parts[..8], vec![0; 8][..]);
         assert_eq!(parts[8..], vec![1; 8][..]);
-    }
-
-    #[test]
-    fn block_partition_quadrants() {
-        let sds = SdGrid::new(4, 4, 5);
-        let parts = block_partition(&sds, 2, 2);
-        assert_eq!(parts[sds.id(0, 0) as usize], 0);
-        assert_eq!(parts[sds.id(3, 0) as usize], 1);
-        assert_eq!(parts[sds.id(0, 3) as usize], 2);
-        assert_eq!(parts[sds.id(3, 3) as usize], 3);
-    }
-
-    #[test]
-    fn blocks_cut_less_than_strips_for_square_counts() {
-        // For k=4 on a square SD grid, quadrants have shorter total
-        // boundary than four horizontal strips.
-        let sds = SdGrid::new(16, 16, 10);
-        let g = sd_dual_graph(&sds);
-        let strips = strip_partition(&sds, 4);
-        let blocks = block_partition(&sds, 2, 2);
-        assert!(edge_cut(&g, &blocks) < edge_cut(&g, &strips));
     }
 }

@@ -24,7 +24,7 @@
 //!   where the direct k-way refinement's per-vertex `O(k)` connection
 //!   array would cost ~10¹⁰ operations at 10k parts.
 //!
-//! Both strategies end in [`capacity_repair`]-style sweeps so no part
+//! Both strategies end in capacity-repair sweeps so no part
 //! exceeds its byte capacity when a feasible assignment is reachable by
 //! single-vertex moves. Determinism: same graph, weights, caps and seed
 //! produce the same partition (the cross-substrate parity contract).

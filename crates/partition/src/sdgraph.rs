@@ -8,10 +8,11 @@
 //! each timestep, and how many wire bytes each exchange carries. For a
 //! nonlocal model those are not the same graph — the halo reaches corner
 //! neighbours and, when ε exceeds the SD size, SDs several rings away — so
-//! [`SdGraph`] derives its edges from the [`HaloPlan`]s both execution
-//! substrates already build, with edge weights equal to the wire bytes the
-//! simulator charges per ghost message (`cells · 8 + 24` framing, summed
-//! over both directions of the exchange).
+//! [`SdGraph`] derives its edges from the halo patches
+//! ([`nlheat_mesh::HaloPlan`]) both execution substrates exchange, with
+//! edge weights equal to the wire bytes the simulator charges per ghost
+//! message (`cells · 8 + 24` framing, summed over both directions of the
+//! exchange).
 //!
 //! The graph is stored as the same [`Csr`] the partitioner uses, so the
 //! ownership edge cut — the recurring ghost bytes a given SD→node
@@ -20,7 +21,7 @@
 
 use crate::graph::Csr;
 use crate::metrics::edge_cut;
-use nlheat_mesh::{fill_halo_patches, HaloPatch, HaloPlan, PatchSource, SdGrid, SdId};
+use nlheat_mesh::{fill_halo_patches, HaloPatch, PatchSource, SdGrid, SdId};
 
 /// Wire bytes of one ghost message carrying `cells` cells — the
 /// 8-byte-f64 payload plus 24 bytes of framing, the planning-grade wire
@@ -65,21 +66,6 @@ pub struct SdGraph {
 }
 
 impl SdGraph {
-    /// Build from the halo plans both substrates already construct
-    /// (`plans[i]` must be the plan of SD `i`).
-    ///
-    /// # Panics
-    /// Panics when `plans` does not cover the grid.
-    pub fn from_plans(sds: &SdGrid, plans: &[HaloPlan]) -> Self {
-        assert_eq!(plans.len(), sds.count(), "one halo plan per SD");
-        let csr = Csr::from_rows(sd_weights(sds), |sd, row| {
-            let plan = &plans[sd as usize];
-            assert_eq!(plan.sd, sd, "plans must be in SD id order");
-            push_row(&plan.patches, row);
-        });
-        SdGraph { csr }
-    }
-
     /// Build from grid geometry alone, regenerating each SD's halo
     /// patches into one reused buffer (no per-SD plan is allocated).
     pub fn build(sds: &SdGrid, halo: i64) -> Self {
@@ -221,7 +207,7 @@ impl SdGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nlheat_mesh::build_halo_plan;
+    use nlheat_mesh::{build_halo_plan, HaloPlan};
 
     #[test]
     fn edges_match_halo_reach() {
@@ -303,11 +289,6 @@ mod tests {
             let case = format!("{nsx}x{nsy} sd={sd} halo={halo}");
             assert_eq!(SdGraph::build(&sds, halo).csr(), &reference, "{case}");
             assert_eq!(
-                SdGraph::from_plans(&sds, &plans).csr(),
-                &reference,
-                "{case}"
-            );
-            assert_eq!(
                 reference.n_edges() == 0,
                 halo == 0 || sds.count() == 1,
                 "{case}"
@@ -327,7 +308,7 @@ mod tests {
                 .ids()
                 .map(|id| build_halo_plan(&sds, halo, id))
                 .collect();
-            let g = SdGraph::from_plans(&sds, &plans);
+            let g = SdGraph::build(&sds, halo);
             for pattern in 0..4u32 {
                 let owners: Vec<u32> = sds
                     .ids()

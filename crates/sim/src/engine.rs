@@ -4,18 +4,17 @@
 
 use crate::cost::CostModel;
 pub use nlheat_core::balance::LbSpec;
-use nlheat_core::balance::{compute_metrics, EpochTrace, LbNetwork, LbPolicy, LbSchedule, Move};
-use nlheat_core::ownership::Ownership;
-use nlheat_core::scenario::{
-    active_at, failed_at, modeled_busy, ClusterEvent, LbInput, PartitionSpec,
+use nlheat_core::balance::{
+    EpochController, EpochInput, EpochPlan, EpochSetup, EpochTrace, LbSchedule, Move,
 };
+use nlheat_core::ownership::Ownership;
+use nlheat_core::scenario::{failed_at, ClusterEvent, LbInput, PartitionSpec};
 use nlheat_core::workload::WorkModel;
 use nlheat_mesh::{case_areas, fill_halo_patches, Grid, PatchSource, SdGrid, Stencil};
 use nlheat_netmodel::{LinkClass, Msg, NetSpec};
-use nlheat_partition::{patch_wire_bytes, SdGraph};
+use nlheat_partition::patch_wire_bytes;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 // The declared node shape lives with `ClusterSpec` in `nlheat-core`: one
 // source of truth both the virtual cluster and the real localities are
@@ -180,7 +179,6 @@ struct GhostSend {
 /// migration, in a single pass that regenerates each SD's halo patches
 /// into one reused buffer.
 struct OwnershipView {
-    owners: Vec<u32>,
     /// Per-node owned SDs, ascending id (the order `owned_by` yields).
     owned: Vec<Vec<u32>>,
     /// Cross-node ghost sends in arrival-call order.
@@ -201,7 +199,7 @@ impl OwnershipView {
         nn: usize,
         comm: &nlheat_netmodel::CommCost,
     ) -> Self {
-        let owners = ownership.owners().to_vec();
+        let owners = ownership.owners();
         let n_sds = geo.sds.count();
         let mut owned: Vec<Vec<u32>> = vec![Vec::new(); nn];
         let mut sends = Vec::new();
@@ -239,7 +237,6 @@ impl OwnershipView {
             }));
         }
         OwnershipView {
-            owners,
             owned,
             sends,
             local_copy_cells,
@@ -321,6 +318,35 @@ impl Ord for Ordered {
     }
 }
 
+/// The run's balancer, mirroring `core::dist`'s wiring: one controller
+/// lives across epochs (stateful policies learn from the simulated
+/// stalls), pricing μ against the SD graph of the very halo patches whose
+/// messages the event loop charges. Only planners read the graph and the
+/// footprints derived from it, so a run without a balancer builds neither.
+fn epoch_controller(cfg: &SimConfig, geo: &Geometry) -> Option<EpochController> {
+    let lb = cfg.lb.as_ref()?;
+    let memory_bytes = cfg.nodes.iter().any(|n| n.memory_bytes.is_some()).then(|| {
+        cfg.nodes
+            .iter()
+            .map(|n| n.memory_bytes.unwrap_or(u64::MAX))
+            .collect()
+    });
+    Some(EpochController::new(
+        lb,
+        EpochSetup {
+            n_steps: cfg.n_steps,
+            input: cfg.lb_input,
+            sds: geo.sds,
+            halo: geo.halo,
+            net: cfg.net,
+            speeds: cfg.nodes.iter().map(|n| n.speed).collect(),
+            sec_per_dp: cfg.cost.sec_per_dp,
+            memory_bytes,
+            cluster_events: cfg.cluster_events.clone(),
+        },
+    ))
+}
+
 /// Run the simulation.
 pub fn simulate(cfg: &SimConfig) -> SimRun {
     let geo = Geometry::build(cfg);
@@ -333,6 +359,7 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
     }
     let owners0 = cfg.partition.initial_owners(&geo.sds, n_nodes);
     let mut ownership = Ownership::new(geo.sds, owners0, n_nodes);
+    let mut epochs = epoch_controller(cfg, &geo);
 
     let nn = cfg.nodes.len();
     let mut node_time = vec![0.0f64; nn];
@@ -341,50 +368,18 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
     let mut net = cfg.net.build(nn);
     let mut cross_bytes = 0u64;
     let mut messages = 0u64;
-    let mut lb_history: Vec<Vec<usize>> = Vec::new();
-    let mut migrations = 0usize;
-    let mut migration_bytes = 0u64;
-    let mut inter_rack_migration_bytes = 0u64;
     let mut ghost_bytes = 0u64;
     let mut inter_rack_ghost_bytes = 0u64;
-    let mut epoch_traces: Vec<EpochTrace> = Vec::new();
-    let mut lb_plans: Vec<Vec<Move>> = Vec::new();
     // Worst ghost-arrival delay per node per step, accumulated per
     // balancing window — the adaptive-μ feedback signal (virtual-time
     // analogue of the real driver's wall-clock measurement).
     let mut ghost_wait_window = vec![0.0f64; nn];
-    let speeds: Vec<f64> = cfg.nodes.iter().map(|n| n.speed).collect();
-    // Planner-facing cost estimate of the same network the event loop
-    // simulates — the simulator mirrors `core::dist`'s wiring exactly:
-    // one policy instance lives across epochs (stateful policies learn
-    // from the simulated migration stalls), and the SD adjacency /
-    // halo-volume graph it prices μ against is built from the very halo
-    // patches whose messages the loop below charges. Only planners read the
-    // graph and the footprints derived from it, so a run without a
-    // balancer builds neither.
-    let mut lb_net = LbNetwork::for_sd_tiles(&cfg.net, geo.sds.cells_per_sd());
-    if cfg.lb.is_some() {
-        let sd_graph = Arc::new(SdGraph::build(&geo.sds, geo.halo));
-        if cfg.nodes.iter().any(|n| n.memory_bytes.is_some()) {
-            let caps: Vec<u64> = cfg
-                .nodes
-                .iter()
-                .map(|n| n.memory_bytes.unwrap_or(u64::MAX))
-                .collect();
-            lb_net = lb_net.with_memory(Arc::new(caps), Arc::new(sd_graph.footprints()));
-        }
-        lb_net = lb_net.with_sd_graph(sd_graph);
-    }
-    let sd_tile_bytes = lb_net.sd_bytes.clone();
     // Link classes for the virtual-time ghost accounting: the very
     // CommCost the planner prices moves with, so counter and μ term can
     // never disagree on what crosses a rack.
-    let comm = lb_net.comm;
-    let mut policy: Option<Box<dyn LbPolicy>> = cfg.lb.as_ref().map(|lb| {
-        lb.validate();
-        lb.spec.build()
-    });
-    let mut last_barrier = 0.0f64;
+    let comm = cfg.net.comm_cost();
+    // Virtual seconds the previous epoch's migrations stalled the cluster.
+    let mut migration_stall = 0.0f64;
     let max_cores = cfg.nodes.iter().map(|n| n.cores).max().unwrap_or(1);
     let mut scratch = StepScratch::new(geo.sds.count(), max_cores);
     let mut view = OwnershipView::build(&geo, &ownership, nn, &comm);
@@ -481,59 +476,25 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
         }
 
         // --- load-balancing epoch (the configured LbSpec policy) ---
-        let do_lb = cfg
-            .lb
-            .as_ref()
-            .is_some_and(|lb| (step + 1) % lb.period == 0 && step + 1 < cfg.n_steps);
-        if do_lb {
+        if let Some(ctl) = epochs.as_mut().filter(|c| c.due(step)) {
             // collective: everyone synchronizes for the gather/plan
             let barrier = node_time.iter().cloned().fold(0.0, f64::max) + cfg.cost.lb_plan_sec;
-            for t in node_time.iter_mut() {
-                *t = barrier;
-            }
-            let window = (barrier - last_barrier).max(1e-12);
-            let policy = policy.as_mut().expect("lb configured");
-            if cfg.lb_input == LbInput::Measured {
-                // Pre-plan feedback: this window's worst ghost stall, so
-                // an adaptive-μ decorator steers *this* epoch's plan
-                // (modeled planning disables runtime feedback).
-                let worst_ghost = ghost_wait_window.iter().cloned().fold(0.0, f64::max);
-                policy.observe_ghost_stall(worst_ghost / window);
-            }
-            let busy_vec: Vec<f64> = match cfg.lb_input {
-                LbInput::Measured => busy_window.iter().map(|&b| b.max(1e-12)).collect(),
-                // Deterministic planner input derived from the declared
-                // work model — byte-identical to what the real runtime
-                // computes for the same scenario.
-                LbInput::Modeled => modeled_busy(
-                    &geo.sds,
-                    &view.owners,
-                    n_nodes,
-                    cfg.work_at(step),
-                    &speeds,
-                    cfg.cost.sec_per_dp,
-                ),
-            };
-            // Under an elastic timeline the planner sees the membership
-            // mask in effect at this epoch (shared `active_at`, so both
-            // substrates see the same mask for the same scenario).
-            if !cfg.cluster_events.is_empty() {
-                lb_net.active = Some(Arc::new(active_at(nn, &cfg.cluster_events, step + 1)));
-            }
-            let metrics = compute_metrics(&ownership.counts(), &busy_vec);
-            let plan = policy.plan(&ownership, &metrics, &lb_net);
-            // An empty plan pays the planning barrier but emits no
-            // metrics: idle epochs must not skew migration accounting or
-            // record no-op history entries.
+            node_time.fill(barrier);
+            let EpochPlan { plan, .. } = ctl.epoch(EpochInput {
+                step,
+                ownership: &ownership,
+                busy: &busy_window,
+                ghost_stall: ghost_wait_window.iter().cloned().fold(0.0, f64::max),
+                migration_stall,
+                barrier,
+                work: cfg.work_at(step),
+            });
+            // An empty plan pays the planning barrier and nothing else.
             if !plan.moves.is_empty() {
-                epoch_traces.push(
-                    EpochTrace::record(step + 1, policy.name(), &plan, &ownership, &lb_net)
-                        .with_drift(policy.drift_info()),
-                );
                 // migration costs: tile payloads over the network
                 net.reset(barrier);
                 for mv in &plan.moves {
-                    let bytes = sd_tile_bytes.get(mv.sd);
+                    let bytes = ctl.net().sd_bytes.get(mv.sd);
                     let arr = net.arrival(
                         node_time[mv.from as usize],
                         &Msg {
@@ -547,30 +508,13 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
                     cross_bytes += bytes;
                     messages += 1;
                 }
-                migrations += plan.moves.len();
-                migration_bytes += plan.comm.total_bytes;
-                inter_rack_migration_bytes += plan.comm.inter_rack_bytes();
-                // take ownership of the plan instead of cloning the full
-                // owner map and move list out of it
                 ownership = plan.new_ownership;
-                lb_plans.push(plan.moves);
-                lb_history.push(ownership.counts());
                 view = OwnershipView::build(&geo, &ownership, nn, &comm);
             }
-            // Feedback for adaptive policies: how much of the balancing
-            // window the epoch's migrations stalled the cluster.
-            if cfg.lb_input == LbInput::Measured {
-                let after = node_time.iter().cloned().fold(0.0, f64::max);
-                policy.observe_stall((after - barrier) / window);
-            }
-            last_barrier = barrier;
+            migration_stall = node_time.iter().cloned().fold(0.0, f64::max) - barrier;
             // Algorithm 1 line 35: reset the busy and ghost-stall windows
-            for b in busy_window.iter_mut() {
-                *b = 0.0;
-            }
-            for g in ghost_wait_window.iter_mut() {
-                *g = 0.0;
-            }
+            busy_window.fill(0.0);
+            ghost_wait_window.fill(0.0);
         }
     }
 
@@ -586,20 +530,21 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
             }
         })
         .collect();
+    let lb = epochs.map(EpochController::finish).unwrap_or_default();
     SimRun {
         total_time,
         busy: busy_total,
         busy_fraction,
         cross_bytes,
         messages,
-        lb_history,
-        migrations,
-        migration_bytes,
-        inter_rack_migration_bytes,
+        migrations: lb.migrations(),
+        migration_bytes: lb.migration_bytes(),
+        inter_rack_migration_bytes: lb.inter_rack_migration_bytes(),
+        lb_history: lb.lb_history,
         ghost_bytes,
         inter_rack_ghost_bytes,
-        epoch_traces,
-        lb_plans,
+        epoch_traces: lb.epoch_traces,
+        lb_plans: lb.lb_plans,
         final_ownership: ownership,
     }
 }
@@ -821,6 +766,18 @@ mod tests {
             idle.final_ownership.owners(),
             without.final_ownership.owners()
         );
+    }
+
+    #[test]
+    fn no_schedule_builds_no_graph() {
+        let nodes = vec![VirtualNode::with_cores(1); 2];
+        let mut cfg = SimConfig::paper(40, 10, 4, nodes);
+        let geo = Geometry::build(&cfg);
+        assert!(epoch_controller(&cfg, &geo).is_none());
+        cfg.lb = Some(LbSchedule::every(2));
+        let ctl = epoch_controller(&cfg, &geo).expect("a schedule builds a controller");
+        assert!(ctl.net().sd_graph.is_some());
+        assert!(ctl.net().memory_bytes.is_none(), "no node declared a cap");
     }
 
     #[test]
@@ -1266,11 +1223,7 @@ mod tests {
             state
         };
         let nn = 4usize;
-        let comm = LbNetwork::for_sd_tiles(
-            &NetSpec::Topology(nlheat_netmodel::TopologySpec::two_tier(2)),
-            1,
-        )
-        .comm;
+        let comm = NetSpec::Topology(nlheat_netmodel::TopologySpec::two_tier(2)).comm_cost();
         // (mesh, SD side, SD rings the ε = 8h halo reaches)
         for (mesh_n, sd_size, rings) in [(48usize, 4usize, 2i64), (40, 10, 1), (36, 3, 3)] {
             let cfg = SimConfig::paper(mesh_n, sd_size, 1, vec![VirtualNode::with_cores(1); nn]);
@@ -1306,7 +1259,6 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(sends, want.sends, "{case}");
-                assert_eq!(view.owners, owners, "{case}");
                 assert_eq!(view.owned, want.owned, "{case}");
                 assert_eq!(view.local_copy_cells, want.local_copy_cells, "{case}");
                 assert_eq!(view.splits, want.splits, "{case}");

@@ -7,7 +7,13 @@
 //! vectors' bits, every traffic counter and a digest of the realized
 //! plans. A refactor of the event loop, its geometry or its ownership view
 //! must leave all of them unchanged.
+//!
+//! Three more cases plan from measured busy times with the adaptive-λ and
+//! adaptive-μ decorators (alone and composed), so the migration-stall and
+//! ghost-stall feedback the balancer feeds them is pinned too: reordering
+//! those calls changes the plans.
 
+use nonlocalheat::core::scenarios::{lopsided_owners, two_rack_net};
 use nonlocalheat::netmodel::NetSpec;
 use nonlocalheat::prelude::*;
 use nonlocalheat::sim::engine::SimRun;
@@ -78,9 +84,55 @@ fn multi_ring_lb() -> Scenario {
         .with_lb(LbSchedule::every(2))
 }
 
+/// A lopsided start on a heterogeneous two-rack cluster under a crack
+/// that jumps twice, planned from measured busy times by `spec`: the
+/// balancer keeps moving SDs, so the stall feedback keeps moving λ and μ.
+fn adaptive_two_rack(spec: LbSpec) -> Scenario {
+    let base = Scenario::square(48, 4.0, 8, 24);
+    let sds = base.sd_grid();
+    let crack = |y_cell| WorkModel::Crack {
+        y_cell,
+        half_width: 6,
+        factor: 0.25,
+    };
+    base.on(ClusterSpec::speeds(&[2.0, 1.0, 1.0, 0.5]))
+        .with_net(two_rack_net())
+        .with_partition(PartitionSpec::Explicit(lopsided_owners(&sds, 4)))
+        .with_work_schedule(vec![(8, crack(8)), (16, crack(36))])
+        .with_lb(LbSchedule::every(2).with_spec(spec))
+        .with_lb_input(LbInput::Measured)
+}
+
+/// The adaptive cases: each decorator alone and the two composed, paired
+/// with the inner policy they wrap.
+fn adaptive_specs() -> Vec<(&'static str, LbSpec, LbSpec)> {
+    let mu = 0.01;
+    let tree = LbSpec::tree(0.0);
+    vec![
+        (
+            "adaptive-lambda",
+            LbSpec::adaptive(tree.clone(), 0.05),
+            tree.clone(),
+        ),
+        (
+            "adaptive-mu",
+            LbSpec::adaptive_mu(tree.clone().with_mu(mu), 0.05),
+            tree.clone().with_mu(mu),
+        ),
+        (
+            "adaptive-lambda-mu",
+            LbSpec::adaptive(LbSpec::adaptive_mu(tree.clone().with_mu(mu), 0.05), 0.05),
+            tree.with_mu(mu),
+        ),
+    ]
+}
+
 fn runs() -> Vec<(&'static str, SimRun)> {
     let mut scs = scenarios::all(true);
     scs.push(("multi-ring-lb", multi_ring_lb()));
+    for (name, spec, _) in adaptive_specs() {
+        scs.push((name, adaptive_two_rack(spec)));
+    }
     scs.into_iter()
         .map(|(name, sc)| {
             sc.validate();
@@ -90,7 +142,8 @@ fn runs() -> Vec<(&'static str, SimRun)> {
 }
 
 /// Recorded from the simulator before its geometry and ownership view
-/// stopped keeping one halo plan per SD.
+/// stopped keeping one halo plan per SD; the adaptive cases were recorded
+/// before the balancing epoch moved into one shared controller.
 fn pinned() -> Vec<(&'static str, Pinned)> {
     vec![
         (
@@ -243,7 +296,64 @@ fn pinned() -> Vec<(&'static str, Pinned)> {
                 lb_plans: 3983467711720723722,
             },
         ),
+        (
+            "adaptive-lambda",
+            Pinned {
+                total_time: 4580054314147198851,
+                busy: 14200943169830705330,
+                busy_fraction: 52461320772178450,
+                cross_bytes: 385000,
+                ghost_bytes: 370528,
+                inter_rack_ghost_bytes: 234848,
+                messages: 1791,
+                migrations: 27,
+                migration_bytes: 14472,
+                lb_plans: 9837056637663207381,
+            },
+        ),
+        (
+            "adaptive-mu",
+            Pinned {
+                total_time: 4578323446927390643,
+                busy: 8142406652504957979,
+                busy_fraction: 13210962369008767546,
+                cross_bytes: 227256,
+                ghost_bytes: 218144,
+                inter_rack_ghost_bytes: 68352,
+                messages: 1021,
+                migrations: 17,
+                migration_bytes: 9112,
+                lb_plans: 8165124673937969922,
+            },
+        ),
+        (
+            "adaptive-lambda-mu",
+            Pinned {
+                total_time: 4578215432017467033,
+                busy: 10466016075744433343,
+                busy_fraction: 15446023995533478327,
+                cross_bytes: 195688,
+                ghost_bytes: 191936,
+                inter_rack_ghost_bytes: 68352,
+                messages: 879,
+                migrations: 7,
+                migration_bytes: 3752,
+                lb_plans: 901131323502889997,
+            },
+        ),
     ]
+}
+
+#[test]
+fn adaptive_cases_move_their_weights() {
+    // Guards the pinned adaptive cases against going inert: if the
+    // feedback never moved λ or μ, each run would plan exactly like the
+    // policy it wraps and the pins would not cover the feedback order.
+    for (name, spec, inner) in adaptive_specs() {
+        let adaptive = simulate(&SimConfig::from(&adaptive_two_rack(spec)));
+        let plain = simulate(&SimConfig::from(&adaptive_two_rack(inner)));
+        assert_ne!(adaptive.lb_plans, plain.lb_plans, "{name}");
+    }
 }
 
 #[test]
