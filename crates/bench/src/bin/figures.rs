@@ -10,6 +10,27 @@
 
 use nlheat_bench::{ablations, fig10, fig11, fig12, fig13, fig14, fig8, fig9};
 
+/// Every ablation, A1 through A12, in order.
+fn print_ablations(quick: bool) {
+    println!("{}", ablations::a1_partition_quality(quick).to_markdown());
+    println!("{}", ablations::a2_overlap(quick).to_markdown());
+    println!("{}", ablations::a3_sd_size(quick).to_markdown());
+    println!("{}", ablations::a4_lb_heterogeneous(quick).to_markdown());
+    println!("{}", ablations::a5_crack(quick).to_markdown());
+    println!("{}", ablations::a5b_moving_crack(quick).to_markdown());
+    println!("{}", ablations::a6_network_models(quick).to_markdown());
+    println!("{}", ablations::a7_comm_aware_lambda(quick).to_markdown());
+    println!("{}", ablations::a8_policy_comparison(quick).to_markdown());
+    println!("{}", ablations::a9_ghost_aware_mu(quick).to_markdown());
+    println!("{}", ablations::a10_memory_pressure(quick).to_markdown());
+    println!("{}", ablations::a10b_plan_time_scaling(quick).to_markdown());
+    println!(
+        "{}",
+        ablations::a11_intra_step_stealing(quick).to_markdown()
+    );
+    println!("{}", ablations::a12_repartition(quick).to_markdown());
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -47,25 +68,7 @@ fn main() {
             ablations::a11_intra_step_stealing(quick).to_markdown()
         ),
         "a12" => println!("{}", ablations::a12_repartition(quick).to_markdown()),
-        "ablations" => {
-            println!("{}", ablations::a1_partition_quality(quick).to_markdown());
-            println!("{}", ablations::a2_overlap(quick).to_markdown());
-            println!("{}", ablations::a3_sd_size(quick).to_markdown());
-            println!("{}", ablations::a4_lb_heterogeneous(quick).to_markdown());
-            println!("{}", ablations::a5_crack(quick).to_markdown());
-            println!("{}", ablations::a5b_moving_crack(quick).to_markdown());
-            println!("{}", ablations::a6_network_models(quick).to_markdown());
-            println!("{}", ablations::a7_comm_aware_lambda(quick).to_markdown());
-            println!("{}", ablations::a8_policy_comparison(quick).to_markdown());
-            println!("{}", ablations::a9_ghost_aware_mu(quick).to_markdown());
-            println!("{}", ablations::a10_memory_pressure(quick).to_markdown());
-            println!("{}", ablations::a10b_plan_time_scaling(quick).to_markdown());
-            println!(
-                "{}",
-                ablations::a11_intra_step_stealing(quick).to_markdown()
-            );
-            println!("{}", ablations::a12_repartition(quick).to_markdown());
-        }
+        "ablations" => print_ablations(quick),
         "all" => {
             println!("{}", fig8(quick).to_markdown());
             println!("{}", fig9(quick).to_markdown());
@@ -74,23 +77,7 @@ fn main() {
             println!("{}", fig12(quick).to_markdown());
             println!("{}", fig13(quick).to_markdown());
             run_fig14();
-            println!("{}", ablations::a1_partition_quality(quick).to_markdown());
-            println!("{}", ablations::a2_overlap(quick).to_markdown());
-            println!("{}", ablations::a3_sd_size(quick).to_markdown());
-            println!("{}", ablations::a4_lb_heterogeneous(quick).to_markdown());
-            println!("{}", ablations::a5_crack(quick).to_markdown());
-            println!("{}", ablations::a5b_moving_crack(quick).to_markdown());
-            println!("{}", ablations::a6_network_models(quick).to_markdown());
-            println!("{}", ablations::a7_comm_aware_lambda(quick).to_markdown());
-            println!("{}", ablations::a8_policy_comparison(quick).to_markdown());
-            println!("{}", ablations::a9_ghost_aware_mu(quick).to_markdown());
-            println!("{}", ablations::a10_memory_pressure(quick).to_markdown());
-            println!("{}", ablations::a10b_plan_time_scaling(quick).to_markdown());
-            println!(
-                "{}",
-                ablations::a11_intra_step_stealing(quick).to_markdown()
-            );
-            println!("{}", ablations::a12_repartition(quick).to_markdown());
+            print_ablations(quick);
         }
         other => {
             eprintln!("unknown figure '{other}'");

@@ -280,15 +280,24 @@ impl MigrationPlan {
 }
 
 /// One iteration of Algorithm 1 — the count-based planner, i.e.
-/// [`plan_rebalance_with_cost`] with a free network.
+/// [`plan_rebalance_ghost_aware`] with a free network and no SD graph.
 ///
 /// `busy` are the per-node busy times (any consistent unit) accumulated
 /// since the previous iteration's counter reset.
 pub fn plan_rebalance(own: &Ownership, busy: &[f64]) -> MigrationPlan {
-    plan_rebalance_with_cost(own, busy, &CostParams::free())
+    plan_rebalance_ghost_aware(
+        own,
+        compute_metrics(&own.counts(), busy),
+        &CostParams::free(),
+        None,
+    )
 }
 
-/// One iteration of Algorithm 1, weighing migrations by network cost.
+/// One iteration of Algorithm 1 from precomputed eqs. 8–10 metrics,
+/// weighing migrations by network cost and, with an SD graph attached,
+/// by the ghost traffic they add or remove. This is the entry point of
+/// the tree policy in the pluggable [`crate::balance::policy`] layer,
+/// where every policy receives the same [`LoadMetrics`].
 ///
 /// Sign conventions follow eq. 9 (`imbalance = expected − count`, positive
 /// = node should *gain* SDs). Each node in topological order settles its
@@ -310,17 +319,8 @@ pub fn plan_rebalance(own: &Ownership, busy: &[f64]) -> MigrationPlan {
 ///   transfer seconds of one tile — gated via the per-SD score of
 ///   [`select_transfer_scored`]. Gated imbalance stays put and is settled
 ///   over cheaper links on later iterations.
-pub fn plan_rebalance_with_cost(own: &Ownership, busy: &[f64], cost: &CostParams) -> MigrationPlan {
-    let n = own.n_nodes() as usize;
-    assert_eq!(busy.len(), n, "one busy time per node");
-    plan_rebalance_ghost_aware(own, compute_metrics(&own.counts(), busy), cost, None)
-}
-
-/// [`plan_rebalance_with_cost`] from precomputed eqs. 8–10 metrics — the
-/// entry point of the tree policy in the pluggable [`crate::balance::policy`]
-/// layer, where every policy receives the same [`LoadMetrics`] and the
-/// caller computed them once — with the SD adjacency / halo-volume
-/// graph attached: every candidate transfer is scored
+///
+/// With the graph attached every candidate transfer is scored
 /// `relief − λ·migration_seconds − μ·Δghost_seconds`, where the last term
 /// is the move's [`SdGraph`] edge-cut delta priced by link class
 /// ([`ghost_delta_seconds`]) against the *working* ownership at the time
@@ -769,8 +769,8 @@ mod tests {
                 .collect();
             let own = Ownership::new(sds, owners, 4);
             let busy: Vec<f64> = (0..4).map(|n| 1.0 + (n % 4) as f64 * 2.3).collect();
-            let blind = plan_rebalance_with_cost(&own, &busy, &params);
             let metrics = compute_metrics(&own.counts(), &busy);
+            let blind = plan_rebalance_ghost_aware(&own, metrics.clone(), &params, None);
             let ghosted = plan_rebalance_ghost_aware(&own, metrics, &params, Some(&graph));
             assert_eq!(blind.moves, ghosted.moves, "pattern {pattern}");
             assert_eq!(blind.new_ownership, ghosted.new_ownership);
@@ -821,7 +821,12 @@ mod tests {
                     .map(|n| 1.0 + ((n + skew) % 4) as f64 * 1.7)
                     .collect();
                 let seed = plan_rebalance(&own, &busy);
-                let cost_aware = plan_rebalance_with_cost(&own, &busy, &params);
+                let cost_aware = plan_rebalance_ghost_aware(
+                    &own,
+                    compute_metrics(&own.counts(), &busy),
+                    &params,
+                    None,
+                );
                 assert_eq!(
                     seed.moves, cost_aware.moves,
                     "pattern {pattern} skew {skew}"
@@ -841,14 +846,24 @@ mod tests {
         let busy = symmetric_busy(&own);
         let comm = CommCost::from_spec(&NetSpec::Topology(harsh_two_rack()));
 
-        let free = plan_rebalance_with_cost(&own, &busy, &CostParams::new(comm, 0.0, 1000));
+        let free = plan_rebalance_ghost_aware(
+            &own,
+            compute_metrics(&own.counts(), &busy),
+            &CostParams::new(comm, 0.0, 1000),
+            None,
+        );
         assert!(
             free.comm.inter_rack_bytes() > 0,
             "λ=0 must cross racks here: {:?}",
             free.moves
         );
         // relief ≈ 1 s/SD, inter-rack cost = 10 + 2·1000/1 = 2010 s ≫ it
-        let gated = plan_rebalance_with_cost(&own, &busy, &CostParams::new(comm, 1.0, 1000));
+        let gated = plan_rebalance_ghost_aware(
+            &own,
+            compute_metrics(&own.counts(), &busy),
+            &CostParams::new(comm, 1.0, 1000),
+            None,
+        );
         assert_eq!(
             gated.comm.inter_rack_bytes(),
             0,
@@ -868,8 +883,12 @@ mod tests {
         let owners = vec![0, 0, 1, 1, 1, 1, 2, 3];
         let own = Ownership::new(sds, owners, 4);
         let comm = CommCost::from_spec(&NetSpec::Topology(harsh_two_rack()));
-        let plan =
-            plan_rebalance_with_cost(&own, &symmetric_busy(&own), &CostParams::new(comm, 0.0, 64));
+        let plan = plan_rebalance_ghost_aware(
+            &own,
+            compute_metrics(&own.counts(), &symmetric_busy(&own)),
+            &CostParams::new(comm, 0.0, 64),
+            None,
+        );
         let by_class: u64 = plan.comm.bytes_by_class.iter().sum();
         assert_eq!(plan.comm.total_bytes, by_class);
         assert_eq!(plan.comm.total_bytes, 64 * plan.moves.len() as u64);
@@ -897,8 +916,12 @@ mod tests {
             let own = Ownership::new(sds, owners, 4);
             for lambda in [0.0, 1e-4, 0.5, 1.0, 100.0] {
                 let busy: Vec<f64> = (0..4).map(|n| 1.0 + (n % 4) as f64 * 2.3).collect();
-                let plan =
-                    plan_rebalance_with_cost(&own, &busy, &CostParams::new(comm, lambda, 5024));
+                let plan = plan_rebalance_ghost_aware(
+                    &own,
+                    compute_metrics(&own.counts(), &busy),
+                    &CostParams::new(comm, lambda, 5024),
+                    None,
+                );
                 let mut seen = std::collections::HashSet::new();
                 for m in &plan.moves {
                     assert!(seen.insert(m.sd), "SD {} moved twice (λ={lambda})", m.sd);

@@ -60,8 +60,8 @@ pub mod transfer;
 pub mod tree;
 
 pub use algorithm::{
-    ghost_delta_seconds, iterate_rebalance, plan_rebalance, plan_rebalance_ghost_aware,
-    plan_rebalance_with_cost, CostParams, MigrationPlan, Move, PlanComm, SdBytes,
+    ghost_delta_seconds, iterate_rebalance, plan_rebalance, plan_rebalance_ghost_aware, CostParams,
+    MigrationPlan, Move, PlanComm, SdBytes,
 };
 pub use epoch::{EpochController, EpochInput, EpochPlan, EpochRecords, EpochSetup};
 pub use hier::{hierarchy_is_degenerate, plan_hierarchical, HierPolicy};

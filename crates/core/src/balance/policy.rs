@@ -23,7 +23,7 @@
 //! Shipped policies:
 //!
 //! * [`LbSpec::Tree`] — the paper's Algorithm 1 with the λ-weighted
-//!   communication-cost gate of `plan_rebalance_with_cost`; byte-identical
+//!   communication-cost gate of `plan_rebalance_ghost_aware`; byte-identical
 //!   to the pre-policy-layer planner by construction (it delegates to it).
 //! * [`LbSpec::Diffusion`] — first-order pairwise load exchange
 //!   (dimension-exchange diffusion, cf. Cybenko 1989 and Demirel &
@@ -133,8 +133,8 @@ impl LbNetwork {
         self
     }
 
-    /// Derive the view from a network spec (what `DistConfig`/`SimConfig`
-    /// do with their configured `net`).
+    /// Derive the view from a network spec (what both substrates do with
+    /// the scenario's `net`).
     pub fn from_spec(spec: &NetSpec, sd_bytes: impl Into<SdBytes>) -> Self {
         LbNetwork::new(spec.comm_cost(), sd_bytes)
     }
@@ -295,8 +295,8 @@ pub trait LbPolicy: Send {
     }
 }
 
-/// Serde-free policy selection shared by `DistConfig` and `SimConfig`
-/// (via [`LbSchedule`]), mirroring how `NetSpec` selects a `NetModel`.
+/// Serde-free policy selection shared by both substrates (via
+/// [`LbSchedule`]), mirroring how `NetSpec` selects a `NetModel`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LbSpec {
     /// The paper's Algorithm-1 dependency-tree planner with the λ-weighted
@@ -755,7 +755,7 @@ impl LbSpec {
 }
 
 /// When to balance and how — the one load-balancing configuration shared
-/// by `Scenario`, `DistConfig` and `SimConfig` alike, replacing the
+/// by `Scenario` and `DistConfig` alike, replacing the
 /// duplicated per-substrate structs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LbSchedule {
@@ -1202,7 +1202,7 @@ impl LbPolicy for AdaptiveMuPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance::algorithm::{plan_rebalance, plan_rebalance_with_cost};
+    use crate::balance::algorithm::plan_rebalance;
     use crate::balance::power::compute_metrics;
     use nlheat_mesh::{SdGrid, SdId};
     use nlheat_netmodel::{LinkSpec, TopologySpec};
@@ -1294,10 +1294,11 @@ mod tests {
         for lambda in [0.0, 0.5, 2.0] {
             let mut policy = LbSpec::tree(lambda).build();
             sweep(|own, busy| {
-                let direct = plan_rebalance_with_cost(
+                let direct = plan_rebalance_ghost_aware(
                     own,
-                    busy,
+                    compute_metrics(&own.counts(), busy),
                     &CostParams::new(net.comm, lambda, net.sd_bytes.clone()),
+                    None,
                 );
                 let via_policy = policy.plan(own, &metrics_for(own, busy), &net);
                 assert_eq!(direct.moves, via_policy.moves, "λ={lambda}");

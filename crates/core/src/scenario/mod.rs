@@ -2,24 +2,21 @@
 //! execution substrates.
 //!
 //! The paper's whole argument rests on running the *same* experiment on
-//! the real AMT runtime and on the discrete-event simulator. Before this
-//! module the two substrates were configured through diverging structs
-//! (`DistConfig` vs `SimConfig`, two partition enums, simulator-only
-//! `work_schedule`) and compared through two report shapes, so every
-//! ablation and test hand-built two configs. A [`Scenario`] declares the
-//! experiment once — problem, decomposition, cluster shape, network,
-//! initial partition, workload (possibly time-varying), overlap mode and
-//! load-balancing schedule — and is *executed* through the [`Substrate`]
-//! abstraction: [`Scenario::run_dist`] on the real runtime, and
-//! `Scenario::run_sim` (provided by `nlheat-sim`) on the simulator. Both
-//! return the same [`RunReport`], with substrate-specific measurements
-//! nested in [`RunExtras`] instead of forked into parallel types.
+//! the real AMT runtime and on the discrete-event simulator. A
+//! [`Scenario`] declares the experiment once — problem, decomposition,
+//! cluster shape, network, initial partition, workload (possibly
+//! time-varying), overlap mode and load-balancing schedule — and is
+//! *executed* through the [`Substrate`] abstraction: [`Scenario::run_dist`]
+//! on the real runtime, and `Scenario::run_sim` (provided by `nlheat-sim`)
+//! on the simulator. Both return the same [`RunReport`], with
+//! substrate-specific measurements nested in [`RunExtras`] instead of
+//! forked into parallel types.
 //!
-//! `DistConfig` and `SimConfig` remain as the low-level per-substrate
-//! execution configs a scenario compiles into (`Scenario::dist_config`,
-//! `SimConfig::from(&scenario)`) — the compatibility layer — but
-//! everything above them (ablations, examples, integration tests, the
-//! scenario [`library`]) describes experiments declaratively.
+//! The simulator takes a [`Scenario`] as is. The real runtime still runs
+//! from `DistConfig`, the low-level execution config a scenario compiles
+//! into ([`Scenario::dist_config`]); everything above it (ablations,
+//! examples, integration tests, the scenario [`library`]) describes
+//! experiments declaratively.
 //!
 //! Declarative scenario/phase descriptions are what let one harness sweep
 //! many workloads across heterogeneous backends (cf. Lifflander et al.,
@@ -32,7 +29,7 @@ pub mod sweep;
 
 pub use plan::{PlanExtras, PlanSubstrate};
 
-use crate::balance::{EpochTrace, LbSchedule, Move};
+use crate::balance::{EpochSetup, EpochTrace, LbSchedule, Move};
 use crate::dist::{run_distributed, DistConfig, DistReport};
 use crate::ownership::Ownership;
 use crate::workload::WorkModel;
@@ -572,6 +569,26 @@ impl Scenario {
         self.sd_graph().footprints()
     }
 
+    /// The run-constant inputs of this scenario's balancer, planning from
+    /// `input` — what the simulator and [`PlanSubstrate`] hand their
+    /// [`EpochController`](crate::balance::EpochController).
+    pub fn epoch_setup(&self, input: LbInput) -> EpochSetup {
+        EpochSetup {
+            n_steps: self.steps,
+            input,
+            sds: self.sd_grid(),
+            halo: Grid::square(self.problem.n, self.problem.eps_mult).halo,
+            net: self.net,
+            speeds: self.cluster.speed_factors(),
+            sec_per_dp: self.sec_per_dp(),
+            memory_bytes: self
+                .cluster
+                .has_memory_caps()
+                .then(|| self.cluster.memory_capacities()),
+            cluster_events: self.cluster_events.clone(),
+        }
+    }
+
     /// Reject an internally inconsistent scenario at configuration time,
     /// on the caller's thread — before any driver thread could panic
     /// mid-run and deadlock a cluster.
@@ -746,8 +763,8 @@ impl Scenario {
 }
 
 /// The workload in effect at `step` under a base model + switch schedule —
-/// shared by [`Scenario`], `DistConfig` and `SimConfig` so the substrates
-/// cannot disagree on what a schedule means.
+/// shared by [`Scenario`] and `DistConfig` so the substrates cannot
+/// disagree on what a schedule means.
 pub fn work_at<'a>(
     base: &'a WorkModel,
     schedule: &'a [(usize, WorkModel)],

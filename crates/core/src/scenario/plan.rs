@@ -19,9 +19,8 @@
 //! runs.
 
 use super::{LbInput, RunExtras, RunReport, Scenario, Substrate};
-use crate::balance::{EpochController, EpochInput, EpochPlan, EpochSetup};
+use crate::balance::{EpochController, EpochInput, EpochPlan};
 use crate::ownership::Ownership;
-use nlheat_mesh::Grid;
 
 /// What only a plan-only run can measure.
 #[derive(Debug, Clone)]
@@ -50,22 +49,8 @@ impl Substrate for PlanSubstrate {
             .expect("PlanSubstrate needs an LB schedule: there is nothing to time without one");
         let sds = scenario.sd_grid();
         let n_nodes = scenario.cluster.len() as u32;
-        let cluster = &scenario.cluster;
-        let setup = EpochSetup {
-            n_steps: scenario.steps,
-            // there is no run to measure: plan from the modeled busy times
-            input: LbInput::Modeled,
-            sds,
-            halo: Grid::square(scenario.problem.n, scenario.problem.eps_mult).halo,
-            net: scenario.net,
-            speeds: cluster.speed_factors(),
-            sec_per_dp: scenario.sec_per_dp(),
-            memory_bytes: cluster
-                .has_memory_caps()
-                .then(|| cluster.memory_capacities()),
-            cluster_events: scenario.cluster_events.clone(),
-        };
-        let mut epochs = EpochController::new(lb, setup);
+        // there is no run to measure: plan from the modeled busy times
+        let mut epochs = EpochController::new(lb, scenario.epoch_setup(LbInput::Modeled));
         let ownership = Ownership::new(
             sds,
             scenario.partition.initial_owners(&sds, n_nodes),

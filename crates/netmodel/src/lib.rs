@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation depends on the real AMT runtime
 //! (`nlheat_amt::network::Fabric`) and the discrete-event simulator
-//! (`nlheat_sim::engine`) agreeing on how communication costs behave.
+//! (`nlheat-sim`) agreeing on how communication costs behave.
 //! Historically each had its own copy-pasted latency/bandwidth arithmetic
 //! (the fabric's `NetModel` struct in wall-clock `Duration`s, the
 //! simulator's `SimNet`/`NicState` in virtual `f64` seconds) that drifted
@@ -27,8 +27,8 @@
 //! * [`TopologyNet`] — per-pair link classes (intra-node / intra-rack /
 //!   inter-rack) with per-sender NIC serialization, for heterogeneous
 //!   clusters built by `ClusterBuilder`.
-//! * [`NetSpec`] — the serializable configuration enum `DistConfig`,
-//!   `SimConfig`, examples and benches all use to select a model
+//! * [`NetSpec`] — the serializable configuration enum a `Scenario`,
+//!   `DistConfig`, examples and benches all use to select a model
 //!   uniformly; [`NetSpec::build`] instantiates the trait object.
 
 use std::time::Duration;
@@ -569,7 +569,7 @@ impl NetModel for TopologyNet {
     }
 }
 
-/// Model selection shared by `DistConfig`, `SimConfig`, `ClusterBuilder`,
+/// Model selection shared by `Scenario`, `DistConfig`, `ClusterBuilder`,
 /// examples and benches. Build a live model with [`NetSpec::build`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum NetSpec {
@@ -800,6 +800,15 @@ mod tests {
         let a = net.arrival(0.0, &msg(0, 1, 100));
         let b = net.arrival(0.0, &msg(1, 0, 100));
         assert_eq!(a, b, "distinct senders must not contend");
+    }
+
+    #[test]
+    fn wire_time_linear_in_bytes() {
+        // 10 GB at the cluster default's 10 GB/s = 1 s of wire time, plus
+        // its 5 µs latency.
+        let mut net = NetSpec::cluster().build(2);
+        let a = net.arrival(0.0, &msg(0, 1, 10_000_000_000));
+        assert!((a - (1.0 + 5e-6)).abs() < 1e-9);
     }
 
     #[test]

@@ -3,140 +3,14 @@
 //! load-balancing epochs.
 
 use crate::cost::CostModel;
-pub use nlheat_core::balance::LbSpec;
-use nlheat_core::balance::{
-    EpochController, EpochInput, EpochPlan, EpochSetup, EpochTrace, LbSchedule, Move,
-};
+use nlheat_core::balance::{EpochController, EpochInput, EpochPlan};
 use nlheat_core::ownership::Ownership;
-use nlheat_core::scenario::{failed_at, ClusterEvent, LbInput, PartitionSpec};
-use nlheat_core::workload::WorkModel;
+use nlheat_core::scenario::{failed_at, RunExtras, RunReport, Scenario, SimExtras};
 use nlheat_mesh::{case_areas, fill_halo_patches, Grid, PatchSource, SdGrid, Stencil};
-use nlheat_netmodel::{LinkClass, Msg, NetSpec};
+use nlheat_netmodel::{LinkClass, Msg};
 use nlheat_partition::patch_wire_bytes;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-// The declared node shape lives with `ClusterSpec` in `nlheat-core`: one
-// source of truth both the virtual cluster and the real localities are
-// built from.
-pub use nlheat_core::scenario::VirtualNode;
-
-/// Full simulation configuration — the low-level execution config of the
-/// discrete-event simulator. Prefer describing experiments with
-/// [`nlheat_core::scenario::Scenario`] (which compiles into this via
-/// `SimConfig::from(&scenario)`); `SimConfig` remains the compatibility
-/// layer for code that drives the engine directly.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Mesh cells per side.
-    pub mesh_n: usize,
-    /// Horizon multiplier (ε = m·h; the paper uses 8).
-    pub eps_mult: f64,
-    /// SD side length in cells.
-    pub sd_size: usize,
-    /// Timesteps to simulate.
-    pub n_steps: usize,
-    /// The virtual cluster.
-    pub nodes: Vec<VirtualNode>,
-    /// Network model (shared with the real fabric via `nlheat-netmodel`).
-    pub net: NetSpec,
-    /// Compute-cost model.
-    pub cost: CostModel,
-    /// Initial distribution (shared with the real runtime).
-    pub partition: PartitionSpec,
-    /// Case-1/case-2 overlap on/off (ablation A2).
-    pub overlap: bool,
-    /// Per-SD work factors.
-    pub work: WorkModel,
-    /// Time-varying workload: `(from_step, model)` switch points, sorted by
-    /// step. At step `s` the last entry with `from_step ≤ s` overrides
-    /// `work` — this models a *propagating* crack (the paper's §9 outlook
-    /// toward nonlocal fracture), where the cheap band migrates through the
-    /// domain and the balancer must keep chasing it. The real runtime
-    /// executes the same schedule.
-    pub work_schedule: Vec<(usize, WorkModel)>,
-    /// Elastic cluster-membership timeline (`(from_step, event)`, sorted
-    /// by step; see [`ClusterEvent`]). Applied exactly like the real
-    /// runtime: events set the planner's active-rank mask and the failure
-    /// mask the ghost counters honour; nodes keep executing the SDs they
-    /// own until a replan evacuates them.
-    pub cluster_events: Vec<(usize, ClusterEvent)>,
-    /// Optional load balancing.
-    pub lb: Option<LbSchedule>,
-    /// What the balancing policies plan from: simulated busy windows (the
-    /// default) or deterministic modeled busy times ([`LbInput::Modeled`],
-    /// the cross-substrate parity mode).
-    pub lb_input: LbInput,
-}
-
-impl SimConfig {
-    /// The workload in effect at `step`.
-    fn work_at(&self, step: usize) -> &WorkModel {
-        nlheat_core::scenario::work_at(&self.work, &self.work_schedule, step)
-    }
-}
-
-impl SimConfig {
-    /// Paper-style configuration over `nodes`.
-    pub fn paper(mesh_n: usize, sd_size: usize, n_steps: usize, nodes: Vec<VirtualNode>) -> Self {
-        let grid = Grid::square(mesh_n, 8.0);
-        let stencil = Stencil::build(grid.h, grid.eps);
-        SimConfig {
-            mesh_n,
-            eps_mult: 8.0,
-            sd_size,
-            n_steps,
-            nodes,
-            net: NetSpec::cluster(),
-            cost: CostModel::calibrated(stencil.len()),
-            partition: PartitionSpec::Metis { seed: 1 },
-            overlap: true,
-            work: WorkModel::Uniform,
-            work_schedule: Vec::new(),
-            cluster_events: Vec::new(),
-            lb: None,
-            lb_input: LbInput::Measured,
-        }
-    }
-}
-
-/// Simulation outcome.
-#[derive(Debug, Clone)]
-pub struct SimRun {
-    /// Virtual seconds from step 0 to the last node finishing.
-    pub total_time: f64,
-    /// Per-node total busy seconds.
-    pub busy: Vec<f64>,
-    /// Per-node busy fraction: busy / (cores · total_time).
-    pub busy_fraction: Vec<f64>,
-    /// Bytes crossing node boundaries.
-    pub cross_bytes: u64,
-    /// Messages crossing node boundaries.
-    pub messages: u64,
-    /// SD counts per node after each LB epoch.
-    pub lb_history: Vec<Vec<usize>>,
-    /// Total SDs migrated.
-    pub migrations: usize,
-    /// Total migration payload bytes (a subset of `cross_bytes`).
-    pub migration_bytes: u64,
-    /// Migration payload bytes that crossed a rack boundary (per the
-    /// configured [`NetSpec`]'s link classes; 0 for rack-less models).
-    pub inter_rack_migration_bytes: u64,
-    /// Ghost-exchange payload bytes between nodes over the whole run
-    /// (`cross_bytes` minus the migration traffic).
-    pub ghost_bytes: u64,
-    /// Ghost-exchange bytes that crossed a rack boundary — the recurring
-    /// traffic μ-weighted (ghost-aware) balancing exists to shrink.
-    pub inter_rack_ghost_bytes: u64,
-    /// One [`EpochTrace`] per realized balancing epoch: plan size,
-    /// migration bytes, and the ghost-traffic cut before/after.
-    pub epoch_traces: Vec<EpochTrace>,
-    /// The realized migration plan of each epoch, in epoch order (empty
-    /// plans are skipped, matching `lb_history`).
-    pub lb_plans: Vec<Vec<Move>>,
-    /// Final ownership.
-    pub final_ownership: Ownership,
-}
 
 /// Run-constant geometry. Only the grid and the halo width are kept: an
 /// SD's halo patches are a pure function of them, regenerated on demand
@@ -147,11 +21,10 @@ struct Geometry {
 }
 
 impl Geometry {
-    fn build(cfg: &SimConfig) -> Self {
-        let grid = Grid::square(cfg.mesh_n, cfg.eps_mult);
+    fn build(sc: &Scenario) -> Self {
         Geometry {
-            sds: SdGrid::tile_mesh(cfg.mesh_n, cfg.mesh_n, cfg.sd_size),
-            halo: grid.halo,
+            sds: sc.sd_grid(),
+            halo: Grid::square(sc.problem.n, sc.problem.eps_mult).halo,
         }
     }
 }
@@ -323,49 +196,32 @@ impl Ord for Ordered {
 /// stalls), pricing μ against the SD graph of the very halo patches whose
 /// messages the event loop charges. Only planners read the graph and the
 /// footprints derived from it, so a run without a balancer builds neither.
-fn epoch_controller(cfg: &SimConfig, geo: &Geometry) -> Option<EpochController> {
-    let lb = cfg.lb.as_ref()?;
-    let memory_bytes = cfg.nodes.iter().any(|n| n.memory_bytes.is_some()).then(|| {
-        cfg.nodes
-            .iter()
-            .map(|n| n.memory_bytes.unwrap_or(u64::MAX))
-            .collect()
-    });
-    Some(EpochController::new(
-        lb,
-        EpochSetup {
-            n_steps: cfg.n_steps,
-            input: cfg.lb_input,
-            sds: geo.sds,
-            halo: geo.halo,
-            net: cfg.net,
-            speeds: cfg.nodes.iter().map(|n| n.speed).collect(),
-            sec_per_dp: cfg.cost.sec_per_dp,
-            memory_bytes,
-            cluster_events: cfg.cluster_events.clone(),
-        },
-    ))
+fn epoch_controller(sc: &Scenario) -> Option<EpochController> {
+    let lb = sc.lb.as_ref()?;
+    Some(EpochController::new(lb, sc.epoch_setup(sc.lb_input)))
 }
 
-/// Run the simulation.
-pub fn simulate(cfg: &SimConfig) -> SimRun {
-    let geo = Geometry::build(cfg);
-    let n_nodes = cfg.nodes.len() as u32;
-    // Reject unpriceable work models at configuration time, mirroring the
-    // real runtime's up-front validation.
-    cfg.work.validate(&geo.sds);
-    for (_, model) in &cfg.work_schedule {
-        model.validate(&geo.sds);
-    }
-    let owners0 = cfg.partition.initial_owners(&geo.sds, n_nodes);
+/// Run `sc` on the simulator: the one entry behind
+/// [`crate::SimSubstrate`] and [`crate::RunSim`].
+///
+/// # Panics
+/// Panics on an invalid scenario — see [`Scenario::validate`].
+pub(crate) fn simulate(sc: &Scenario) -> RunReport {
+    sc.validate();
+    let geo = Geometry::build(sc);
+    let grid = Grid::square(sc.problem.n, sc.problem.eps_mult);
+    let cost = CostModel::calibrated(Stencil::build(grid.h, grid.eps).len());
+    let nodes = &sc.cluster.nodes;
+    let n_nodes = nodes.len() as u32;
+    let owners0 = sc.partition.initial_owners(&geo.sds, n_nodes);
     let mut ownership = Ownership::new(geo.sds, owners0, n_nodes);
-    let mut epochs = epoch_controller(cfg, &geo);
+    let mut epochs = epoch_controller(sc);
 
-    let nn = cfg.nodes.len();
+    let nn = nodes.len();
     let mut node_time = vec![0.0f64; nn];
     let mut busy_total = vec![0.0f64; nn];
     let mut busy_window = vec![0.0f64; nn]; // since last LB counter reset
-    let mut net = cfg.net.build(nn);
+    let mut net = sc.net.build(nn);
     let mut cross_bytes = 0u64;
     let mut messages = 0u64;
     let mut ghost_bytes = 0u64;
@@ -377,14 +233,14 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
     // Link classes for the virtual-time ghost accounting: the very
     // CommCost the planner prices moves with, so counter and μ term can
     // never disagree on what crosses a rack.
-    let comm = cfg.net.comm_cost();
+    let comm = sc.net.comm_cost();
     // Virtual seconds the previous epoch's migrations stalled the cluster.
     let mut migration_stall = 0.0f64;
-    let max_cores = cfg.nodes.iter().map(|n| n.cores).max().unwrap_or(1);
+    let max_cores = nodes.iter().map(|n| n.cores).max().unwrap_or(1);
     let mut scratch = StepScratch::new(geo.sds.count(), max_cores);
     let mut view = OwnershipView::build(&geo, &ownership, nn, &comm);
 
-    for step in 0..cfg.n_steps {
+    for step in 0..sc.steps {
         // --- ghost messages: (dst node, dst sd) -> arrival time ---
         // replay the precomputed send list (destination SDs in id order,
         // the order sender NICs serialize in).
@@ -395,10 +251,10 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
         // planner-grade counters — mirroring the real runtime, and
         // keeping `cross_bytes == ghost_bytes + migration_bytes` intact.
         let failed_now =
-            (!cfg.cluster_events.is_empty()).then(|| failed_at(nn, &cfg.cluster_events, step));
+            (!sc.cluster_events.is_empty()).then(|| failed_at(nn, &sc.cluster_events, step));
         for s in &view.sends {
             // pack cost delays the send readiness a little
-            let ready = node_time[s.src as usize] + cfg.cost.copy_sec_per_cell * f64::from(s.area);
+            let ready = node_time[s.src as usize] + cost.copy_sec_per_cell * f64::from(s.area);
             let bytes = patch_wire_bytes(i64::from(s.area));
             let arr = net.arrival(
                 ready,
@@ -424,14 +280,14 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
         }
 
         // --- per-node task graphs and scheduling ---
-        let work = cfg.work_at(step);
+        let work = sc.work_at(step);
         for node in 0..nn {
-            let spec = cfg.nodes[node];
+            let spec = nodes[node];
             let owned = &view.owned[node];
             // serial driver phase: local halo copies + task spawns
             let n_tasks_approx = owned.len().max(1);
-            let serial = cfg.cost.copy_sec_per_cell * view.local_copy_cells[node] as f64
-                + cfg.cost.spawn_sec * n_tasks_approx as f64;
+            let serial = cost.copy_sec_per_cell * view.local_copy_cells[node] as f64
+                + cost.spawn_sec * n_tasks_approx as f64;
             let t0 = node_time[node] + serial;
 
             scratch.tasks.clear();
@@ -443,27 +299,26 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
                 let ghosts_in = if latest == f64::NEG_INFINITY {
                     t0
                 } else {
-                    let unpack = cfg.cost.copy_sec_per_cell * view.ghost_cells[sd as usize];
+                    let unpack = cost.copy_sec_per_cell * view.ghost_cells[sd as usize];
                     let ready = t0.max(latest) + unpack;
                     step_ghost_delay = step_ghost_delay.max(ready - t0);
                     ready
                 };
-                if cfg.overlap {
+                if sc.overlap {
                     if case2_area > 0 {
                         scratch
                             .tasks
-                            .push((t0, cfg.cost.task_sec(case2_area, factor, spec.speed)));
+                            .push((t0, cost.task_sec(case2_area, factor, spec.speed)));
                     }
                     if case1_area > 0 {
                         scratch
                             .tasks
-                            .push((ghosts_in, cfg.cost.task_sec(case1_area, factor, spec.speed)));
+                            .push((ghosts_in, cost.task_sec(case1_area, factor, spec.speed)));
                     }
                 } else {
                     scratch.tasks.push((
                         ghosts_in,
-                        cfg.cost
-                            .task_sec(geo.sds.cells_per_sd() as i64, factor, spec.speed),
+                        cost.task_sec(geo.sds.cells_per_sd() as i64, factor, spec.speed),
                     ));
                 }
             }
@@ -478,7 +333,7 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
         // --- load-balancing epoch (the configured LbSpec policy) ---
         if let Some(ctl) = epochs.as_mut().filter(|c| c.due(step)) {
             // collective: everyone synchronizes for the gather/plan
-            let barrier = node_time.iter().cloned().fold(0.0, f64::max) + cfg.cost.lb_plan_sec;
+            let barrier = node_time.iter().cloned().fold(0.0, f64::max) + cost.lb_plan_sec;
             node_time.fill(barrier);
             let EpochPlan { plan, .. } = ctl.epoch(EpochInput {
                 step,
@@ -487,7 +342,7 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
                 ghost_stall: ghost_wait_window.iter().cloned().fold(0.0, f64::max),
                 migration_stall,
                 barrier,
-                work: cfg.work_at(step),
+                work: sc.work_at(step),
             });
             // An empty plan pays the planning barrier and nothing else.
             if !plan.moves.is_empty() {
@@ -518,69 +373,94 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
         }
     }
 
-    let total_time = node_time.iter().cloned().fold(0.0, f64::max);
+    let makespan = node_time.iter().cloned().fold(0.0, f64::max);
     let busy_fraction = busy_total
         .iter()
-        .zip(&cfg.nodes)
+        .zip(nodes)
         .map(|(&b, n)| {
-            if total_time > 0.0 {
-                b / (n.cores as f64 * total_time)
+            if makespan > 0.0 {
+                b / (n.cores as f64 * makespan)
             } else {
                 0.0
             }
         })
         .collect();
     let lb = epochs.map(EpochController::finish).unwrap_or_default();
-    SimRun {
-        total_time,
+    RunReport {
+        substrate: "sim",
+        makespan,
         busy: busy_total,
-        busy_fraction,
-        cross_bytes,
-        messages,
         migrations: lb.migrations(),
         migration_bytes: lb.migration_bytes(),
         inter_rack_migration_bytes: lb.inter_rack_migration_bytes(),
-        lb_history: lb.lb_history,
         ghost_bytes,
         inter_rack_ghost_bytes,
-        epoch_traces: lb.epoch_traces,
+        lb_history: lb.lb_history,
         lb_plans: lb.lb_plans,
+        epoch_traces: lb.epoch_traces,
         final_ownership: ownership,
+        field: None,
+        error: None,
+        memory_bytes: None,
+        sd_footprint: None,
+        extras: RunExtras::Sim(SimExtras {
+            busy_fraction,
+            cross_bytes,
+            messages,
+        }),
     }
+    .with_scenario_memory(sc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nlheat_core::balance::{LbSchedule, LbSpec};
+    use nlheat_core::scenario::{ClusterEvent, ClusterSpec, LbInput, PartitionSpec, VirtualNode};
+    use nlheat_core::workload::WorkModel;
+    use nlheat_netmodel::{NetSpec, TopologySpec};
 
-    fn shared_cfg(n_sds_side: usize, cores: usize) -> SimConfig {
+    /// The paper problem (ε = 8h) over `cluster`.
+    fn paper(mesh_n: usize, sd_size: usize, steps: usize, cluster: ClusterSpec) -> Scenario {
+        Scenario::square(mesh_n, 8.0, sd_size, steps).on(cluster)
+    }
+
+    /// Four single-core nodes, the first twice as fast.
+    fn het4() -> ClusterSpec {
+        ClusterSpec::speeds(&[2.0, 1.0, 1.0, 1.0])
+    }
+
+    fn extras(run: &RunReport) -> &SimExtras {
+        run.sim_extras().expect("a simulator report")
+    }
+
+    fn shared_cfg(n_sds_side: usize, cores: usize) -> Scenario {
         // 400x400 paper mesh decomposed into n x n SDs, one node.
-        let sd = 400 / n_sds_side;
-        SimConfig::paper(400, sd, 5, vec![VirtualNode::with_cores(cores)])
+        paper(400, 400 / n_sds_side, 5, ClusterSpec::uniform(1, cores))
     }
 
     #[test]
     fn deterministic() {
-        let cfg = shared_cfg(4, 2);
-        let a = simulate(&cfg);
-        let b = simulate(&cfg);
-        assert_eq!(a.total_time, b.total_time);
+        let sc = shared_cfg(4, 2);
+        let a = simulate(&sc);
+        let b = simulate(&sc);
+        assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.busy, b.busy);
     }
 
     #[test]
     fn single_sd_cannot_use_extra_cores() {
         // Fig. 9's 1-SD data point: speedup stays 1.
-        let t1 = simulate(&shared_cfg(1, 1)).total_time;
-        let t4 = simulate(&shared_cfg(1, 4)).total_time;
+        let t1 = simulate(&shared_cfg(1, 1)).makespan;
+        let t4 = simulate(&shared_cfg(1, 4)).makespan;
         assert!((t1 / t4) < 1.05, "one task cannot speed up: {}", t1 / t4);
     }
 
     #[test]
     fn many_sds_scale_with_cores() {
         // Fig. 9's 64-SD point: 4 cores approach 4x.
-        let t1 = simulate(&shared_cfg(8, 1)).total_time;
-        let t4 = simulate(&shared_cfg(8, 4)).total_time;
+        let t1 = simulate(&shared_cfg(8, 1)).makespan;
+        let t4 = simulate(&shared_cfg(8, 4)).makespan;
         let speedup = t1 / t4;
         assert!(
             (3.0..=4.2).contains(&speedup),
@@ -591,16 +471,9 @@ mod tests {
     #[test]
     fn distributed_nodes_scale() {
         // Fig. 13 shape: 1 vs 4 single-core nodes on a fixed mesh.
-        let mk = |n: usize| {
-            SimConfig::paper(
-                400,
-                50,
-                5,
-                (0..n).map(|_| VirtualNode::with_cores(1)).collect(),
-            )
-        };
-        let t1 = simulate(&mk(1)).total_time;
-        let t4 = simulate(&mk(4)).total_time;
+        let mk = |n: usize| paper(400, 50, 5, ClusterSpec::uniform(n, 1));
+        let t1 = simulate(&mk(1)).makespan;
+        let t4 = simulate(&mk(4)).makespan;
         let speedup = t1 / t4;
         assert!((3.0..=4.2).contains(&speedup), "4-node speedup {speedup}");
     }
@@ -608,33 +481,21 @@ mod tests {
     #[test]
     fn communication_counted_only_across_nodes() {
         let single = simulate(&shared_cfg(8, 4));
-        assert_eq!(single.cross_bytes, 0, "one node never crosses");
-        let mk = SimConfig::paper(
-            400,
-            50,
-            5,
-            vec![VirtualNode::with_cores(1), VirtualNode::with_cores(1)],
-        );
-        let two = simulate(&mk);
-        assert!(two.cross_bytes > 0);
-        assert!(two.messages > 0);
+        assert_eq!(extras(&single).cross_bytes, 0, "one node never crosses");
+        let two = simulate(&paper(400, 50, 5, ClusterSpec::uniform(2, 1)));
+        assert!(extras(&two).cross_bytes > 0);
+        assert!(extras(&two).messages > 0);
     }
 
     #[test]
     fn metis_beats_strip_on_cross_traffic() {
         // Ablation A1 at test scale: block-ish multilevel partitions move
         // fewer ghost bytes than strips for 4 nodes.
-        let mut metis = SimConfig::paper(
-            400,
-            25,
-            3,
-            (0..4).map(|_| VirtualNode::with_cores(1)).collect(),
-        );
-        metis.partition = PartitionSpec::Metis { seed: 1 };
-        let mut strip = metis.clone();
-        strip.partition = PartitionSpec::Strip;
-        let mb = simulate(&metis).cross_bytes;
-        let sb = simulate(&strip).cross_bytes;
+        let metis = paper(400, 25, 3, ClusterSpec::uniform(4, 1))
+            .with_partition(PartitionSpec::Metis { seed: 1 });
+        let strip = metis.clone().with_partition(PartitionSpec::Strip);
+        let mb = extras(&simulate(&metis)).cross_bytes;
+        let sb = extras(&simulate(&strip)).cross_bytes;
         assert!(mb < sb, "metis {mb} bytes should undercut strip {sb} bytes");
     }
 
@@ -643,17 +504,9 @@ mod tests {
         // Every SD borders foreign territory (4 SDs per node, quadrants)
         // and the latency is comparable to one SD's compute time, so the
         // case-2 work is exactly what hides the wait.
-        let mut cfg = SimConfig::paper(
-            200,
-            50,
-            5,
-            (0..4).map(|_| VirtualNode::with_cores(1)).collect(),
-        );
-        cfg.net = NetSpec::shared(5e-3, 1e9);
-        cfg.overlap = true;
-        let with = simulate(&cfg).total_time;
-        cfg.overlap = false;
-        let without = simulate(&cfg).total_time;
+        let sc = paper(200, 50, 5, ClusterSpec::uniform(4, 1)).with_net(NetSpec::shared(5e-3, 1e9));
+        let with = simulate(&sc.clone().with_overlap(true)).makespan;
+        let without = simulate(&sc.with_overlap(false)).makespan;
         assert!(
             with < without * 0.95,
             "overlap {with} must clearly beat no-overlap {without} on a slow net"
@@ -662,35 +515,7 @@ mod tests {
 
     #[test]
     fn lb_balances_heterogeneous_nodes() {
-        let mut cfg = SimConfig::paper(
-            400,
-            25,
-            24,
-            vec![
-                VirtualNode {
-                    cores: 1,
-                    speed: 2.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-            ],
-        );
-        cfg.lb = Some(LbSchedule::every(4));
-        let run = simulate(&cfg);
+        let run = simulate(&paper(400, 25, 24, het4()).with_lb(LbSchedule::every(4)));
         assert!(run.migrations > 0);
         let counts = run.final_ownership.counts();
         // fast node should end up with roughly 2/5 of 256 SDs ≈ 102
@@ -704,33 +529,9 @@ mod tests {
 
     #[test]
     fn lb_reduces_makespan_under_heterogeneity() {
-        let nodes = vec![
-            VirtualNode {
-                cores: 1,
-                speed: 2.0,
-                memory_bytes: None,
-            },
-            VirtualNode {
-                cores: 1,
-                speed: 1.0,
-                memory_bytes: None,
-            },
-            VirtualNode {
-                cores: 1,
-                speed: 1.0,
-                memory_bytes: None,
-            },
-            VirtualNode {
-                cores: 1,
-                speed: 1.0,
-                memory_bytes: None,
-            },
-        ];
-        let mut base = SimConfig::paper(400, 25, 24, nodes);
-        base.lb = None;
-        let without = simulate(&base).total_time;
-        base.lb = Some(LbSchedule::every(4));
-        let with = simulate(&base).total_time;
+        let base = paper(400, 25, 24, het4());
+        let without = simulate(&base).makespan;
+        let with = simulate(&base.with_lb(LbSchedule::every(4))).makespan;
         assert!(
             with < without,
             "LB {with} must beat no-LB {without} on a 2x-fast node"
@@ -749,17 +550,15 @@ mod tests {
                 memory_bytes: Some(1 << 30),
             })
             .collect();
-        let mut cfg = SimConfig::paper(200, 25, 6, nodes);
-        cfg.net = NetSpec::shared(1e-4, 1e9);
-        let without = simulate(&cfg);
-        cfg.lb = Some(LbSchedule::every(7));
-        let idle = simulate(&cfg);
-        assert_eq!(idle.total_time.to_bits(), without.total_time.to_bits());
+        let sc = paper(200, 25, 6, ClusterSpec { nodes }).with_net(NetSpec::shared(1e-4, 1e9));
+        let without = simulate(&sc);
+        let idle = simulate(&sc.with_lb(LbSchedule::every(7)));
+        assert_eq!(idle.makespan.to_bits(), without.makespan.to_bits());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&idle.busy), bits(&without.busy));
-        assert_eq!(idle.cross_bytes, without.cross_bytes);
+        assert_eq!(extras(&idle).cross_bytes, extras(&without).cross_bytes);
         assert_eq!(idle.ghost_bytes, without.ghost_bytes);
-        assert_eq!(idle.messages, without.messages);
+        assert_eq!(extras(&idle).messages, extras(&without).messages);
         assert_eq!(idle.migrations, 0);
         assert!(idle.lb_plans.is_empty() && idle.epoch_traces.is_empty());
         assert_eq!(
@@ -770,12 +569,10 @@ mod tests {
 
     #[test]
     fn no_schedule_builds_no_graph() {
-        let nodes = vec![VirtualNode::with_cores(1); 2];
-        let mut cfg = SimConfig::paper(40, 10, 4, nodes);
-        let geo = Geometry::build(&cfg);
-        assert!(epoch_controller(&cfg, &geo).is_none());
-        cfg.lb = Some(LbSchedule::every(2));
-        let ctl = epoch_controller(&cfg, &geo).expect("a schedule builds a controller");
+        let sc = paper(40, 10, 4, ClusterSpec::uniform(2, 1));
+        assert!(epoch_controller(&sc).is_none());
+        let ctl = epoch_controller(&sc.with_lb(LbSchedule::every(2)))
+            .expect("a schedule builds a controller");
         assert!(ctl.net().sd_graph.is_some());
         assert!(ctl.net().memory_bytes.is_none(), "no node declared a cap");
     }
@@ -794,9 +591,7 @@ mod tests {
         // One node: every plan is a no-op. The balancer must not record
         // history entries or migration traffic for idle epochs (it still
         // pays the planning barrier).
-        let mut cfg = shared_cfg(4, 2);
-        cfg.lb = Some(LbSchedule::every(2));
-        let run = simulate(&cfg);
+        let run = simulate(&shared_cfg(4, 2).with_lb(LbSchedule::every(2)));
         assert_eq!(run.migrations, 0);
         assert_eq!(run.migration_bytes, 0);
         assert!(
@@ -815,81 +610,24 @@ mod tests {
     fn ghost_bytes_split_out_of_cross_traffic() {
         // Two uniform nodes, no LB: all cross traffic is ghost traffic
         // and a rack-less model never crosses racks.
-        let cfg = SimConfig::paper(
-            400,
-            50,
-            5,
-            vec![VirtualNode::with_cores(1), VirtualNode::with_cores(1)],
-        );
-        let run = simulate(&cfg);
+        let sc = paper(400, 50, 5, ClusterSpec::uniform(2, 1));
+        let run = simulate(&sc);
         assert!(run.ghost_bytes > 0);
-        assert_eq!(run.ghost_bytes, run.cross_bytes);
+        assert_eq!(run.ghost_bytes, extras(&run).cross_bytes);
         assert_eq!(run.inter_rack_ghost_bytes, 0, "uniform model has no racks");
         // 2 racks x 1 node: every cross message is inter-rack
-        let mut racked = SimConfig::paper(
-            400,
-            50,
-            5,
-            vec![VirtualNode::with_cores(1), VirtualNode::with_cores(1)],
-        );
-        racked.net = NetSpec::Topology(nlheat_netmodel::TopologySpec::two_tier(1));
-        let rr = simulate(&racked);
+        let rr = simulate(&sc.with_net(NetSpec::Topology(TopologySpec::two_tier(1))));
         assert_eq!(rr.inter_rack_ghost_bytes, rr.ghost_bytes);
         // and with LB on, migration bytes stay separate from ghost bytes
-        let mut lb = SimConfig::paper(
-            400,
-            25,
-            12,
-            vec![
-                VirtualNode {
-                    cores: 1,
-                    speed: 2.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-            ],
-        );
-        lb.lb = Some(LbSchedule::every(4));
+        let lb = paper(400, 25, 12, ClusterSpec::speeds(&[2.0, 1.0])).with_lb(LbSchedule::every(4));
         let lr = simulate(&lb);
         assert!(lr.migrations > 0);
-        assert_eq!(lr.cross_bytes, lr.ghost_bytes + lr.migration_bytes);
+        assert_eq!(extras(&lr).cross_bytes, lr.ghost_bytes + lr.migration_bytes);
     }
 
     #[test]
     fn epoch_traces_record_the_cut_from_the_sim_graph() {
-        let mut cfg = SimConfig::paper(
-            400,
-            25,
-            24,
-            vec![
-                VirtualNode {
-                    cores: 1,
-                    speed: 2.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-            ],
-        );
-        cfg.lb = Some(LbSchedule::every(4));
-        let run = simulate(&cfg);
+        let run = simulate(&paper(400, 25, 24, het4()).with_lb(LbSchedule::every(4)));
         assert!(run.migrations > 0);
         assert_eq!(run.epoch_traces.len(), run.lb_history.len());
         let moves: usize = run.epoch_traces.iter().map(|t| t.moves).sum();
@@ -909,27 +647,28 @@ mod tests {
         // grow. The shaped plan must leave strictly less recurring
         // inter-rack ghost traffic (the recorded cut and the counted
         // virtual-time bytes both say so) at unchanged makespan.
-        let nodes: Vec<VirtualNode> = (0..4).map(|_| VirtualNode::with_cores(1)).collect();
         let sds = SdGrid::tile_mesh(400, 400, 25);
         let mut owners = vec![0u32; 256];
         owners[sds.id(15, 0) as usize] = 1;
         owners[sds.id(0, 15) as usize] = 2;
         owners[sds.id(15, 15) as usize] = 3;
-        let mut cfg = SimConfig::paper(400, 25, 24, nodes);
-        cfg.partition = PartitionSpec::Explicit(owners);
-        cfg.net = NetSpec::Topology(nlheat_netmodel::TopologySpec {
-            ranks_per_node: 1,
-            nodes_per_rack: 2,
-            intra_node: nlheat_netmodel::LinkSpec::new(1e-7, 5e9),
-            intra_rack: nlheat_netmodel::LinkSpec::new(1e-4, 1e8),
-            inter_rack: nlheat_netmodel::LinkSpec::new(4e-4, 2.5e7),
-        });
-        cfg.lb = Some(LbSchedule::every(4).with_spec(LbSpec::tree(0.0)));
-        let blind = simulate(&cfg);
-        cfg.lb = Some(LbSchedule::every(4).with_spec(LbSpec::tree(0.0).with_mu(0.25)));
-        let aware = simulate(&cfg);
+        let sc = paper(400, 25, 24, ClusterSpec::uniform(4, 1))
+            .with_partition(PartitionSpec::Explicit(owners))
+            .with_net(NetSpec::Topology(TopologySpec {
+                ranks_per_node: 1,
+                nodes_per_rack: 2,
+                intra_node: nlheat_netmodel::LinkSpec::new(1e-7, 5e9),
+                intra_rack: nlheat_netmodel::LinkSpec::new(1e-4, 1e8),
+                inter_rack: nlheat_netmodel::LinkSpec::new(4e-4, 2.5e7),
+            }));
+        let blind = simulate(
+            &sc.clone()
+                .with_lb(LbSchedule::every(4).with_spec(LbSpec::tree(0.0))),
+        );
+        let aware =
+            simulate(&sc.with_lb(LbSchedule::every(4).with_spec(LbSpec::tree(0.0).with_mu(0.25))));
         assert!(blind.migrations > 0 && aware.migrations > 0);
-        let last_cut = |run: &SimRun| {
+        let last_cut = |run: &RunReport| {
             run.epoch_traces
                 .last()
                 .unwrap()
@@ -948,10 +687,10 @@ mod tests {
             blind.inter_rack_ghost_bytes
         );
         assert!(
-            aware.total_time <= blind.total_time * 1.05,
+            aware.makespan <= blind.makespan * 1.05,
             "makespan must stay within noise: {} vs {}",
-            aware.total_time,
-            blind.total_time
+            aware.makespan,
+            blind.makespan
         );
     }
 
@@ -965,35 +704,9 @@ mod tests {
             LbSpec::greedy_steal(1),
             LbSpec::adaptive(LbSpec::tree(0.0), 0.2),
         ] {
-            let mut cfg = SimConfig::paper(
-                400,
-                25,
-                24,
-                vec![
-                    VirtualNode {
-                        cores: 1,
-                        speed: 2.0,
-                        memory_bytes: None,
-                    },
-                    VirtualNode {
-                        cores: 1,
-                        speed: 1.0,
-                        memory_bytes: None,
-                    },
-                    VirtualNode {
-                        cores: 1,
-                        speed: 1.0,
-                        memory_bytes: None,
-                    },
-                    VirtualNode {
-                        cores: 1,
-                        speed: 1.0,
-                        memory_bytes: None,
-                    },
-                ],
-            );
-            cfg.lb = Some(LbSchedule::every(4).with_spec(spec.clone()));
-            let run = simulate(&cfg);
+            let sc =
+                paper(400, 25, 24, het4()).with_lb(LbSchedule::every(4).with_spec(spec.clone()));
+            let run = simulate(&sc);
             assert!(run.migrations > 0, "{} must migrate", spec.name());
             let counts = run.final_ownership.counts();
             assert!(
@@ -1018,19 +731,14 @@ mod tests {
     fn join_event_spreads_load_onto_the_new_rank() {
         // Rank 2 is declared but only joins at step 3; its first replan
         // after the join must spread SDs onto it.
-        let mut cfg = SimConfig::paper(
-            400,
-            50,
-            12,
-            (0..3).map(|_| VirtualNode::with_cores(1)).collect(),
-        );
         let sds = SdGrid::tile_mesh(400, 400, 50);
         let owners: Vec<u32> = (0..sds.count()).map(|sd| (sd % 2) as u32).collect();
-        cfg.partition = PartitionSpec::Explicit(owners);
-        cfg.lb = Some(repart_lb(2));
-        cfg.cluster_events = vec![(3, ClusterEvent::Join { rank: 2 })];
-        cfg.lb_input = LbInput::Modeled;
-        let run = simulate(&cfg);
+        let sc = paper(400, 50, 12, ClusterSpec::uniform(3, 1))
+            .with_partition(PartitionSpec::Explicit(owners))
+            .with_lb(repart_lb(2))
+            .with_cluster_events(vec![(3, ClusterEvent::Join { rank: 2 })])
+            .with_lb_input(LbInput::Modeled);
+        let run = simulate(&sc);
         let counts = run.final_ownership.counts();
         assert!(counts[2] > 0, "joined rank must receive work: {counts:?}");
         assert_eq!(counts.iter().sum::<usize>(), 64);
@@ -1048,16 +756,12 @@ mod tests {
         // while the sim's cross-traffic partition invariant holds on
         // both.
         let mk = |ev: ClusterEvent| {
-            let mut cfg = SimConfig::paper(
-                400,
-                50,
-                10,
-                vec![VirtualNode::with_cores(1), VirtualNode::with_cores(1)],
-            );
-            cfg.lb = Some(repart_lb(2));
-            cfg.cluster_events = vec![(3, ev)];
-            cfg.lb_input = LbInput::Modeled;
-            simulate(&cfg)
+            simulate(
+                &paper(400, 50, 10, ClusterSpec::uniform(2, 1))
+                    .with_lb(repart_lb(2))
+                    .with_cluster_events(vec![(3, ev)])
+                    .with_lb_input(LbInput::Modeled),
+            )
         };
         let fail = mk(ClusterEvent::Fail { rank: 1 });
         let drain = mk(ClusterEvent::Drain { rank: 1 });
@@ -1072,7 +776,7 @@ mod tests {
         );
         for run in [&fail, &drain] {
             assert_eq!(
-                run.cross_bytes,
+                extras(run).cross_bytes,
                 run.ghost_bytes + run.migration_bytes,
                 "the cross-traffic partition must survive the event"
             );
@@ -1081,55 +785,52 @@ mod tests {
 
     #[test]
     fn work_schedule_switches_models() {
-        let mut cfg = SimConfig::paper(100, 25, 4, vec![VirtualNode::with_cores(1)]);
-        cfg.work = WorkModel::Uniform;
-        cfg.work_schedule = vec![(2, WorkModel::PerSd(vec![0.5; 16]))];
-        assert_eq!(cfg.work_at(0), &WorkModel::Uniform);
-        assert_eq!(cfg.work_at(1), &WorkModel::Uniform);
-        assert_eq!(cfg.work_at(2), &WorkModel::PerSd(vec![0.5; 16]));
-        assert_eq!(cfg.work_at(3), &WorkModel::PerSd(vec![0.5; 16]));
+        let uniform = paper(100, 25, 4, ClusterSpec::uniform(1, 1));
+        let sc = uniform
+            .clone()
+            .with_work_schedule(vec![(2, WorkModel::PerSd(vec![0.5; 16]))]);
+        assert_eq!(sc.work_at(0), &WorkModel::Uniform);
+        assert_eq!(sc.work_at(1), &WorkModel::Uniform);
+        assert_eq!(sc.work_at(2), &WorkModel::PerSd(vec![0.5; 16]));
+        assert_eq!(sc.work_at(3), &WorkModel::PerSd(vec![0.5; 16]));
         // half-work from step 2 must shorten the run vs uniform
-        let scheduled = simulate(&cfg).total_time;
-        cfg.work_schedule.clear();
-        let uniform = simulate(&cfg).total_time;
-        assert!(scheduled < uniform);
+        assert!(simulate(&sc).makespan < simulate(&uniform).makespan);
     }
 
     #[test]
     fn moving_crack_keeps_lb_busy() {
         // A crack band marching upward; with LB the balancer re-migrates
         // as the cheap region moves, beating the static assignment.
-        let nodes: Vec<VirtualNode> = (0..4).map(|_| VirtualNode::with_cores(1)).collect();
-        let mut cfg = SimConfig::paper(400, 25, 32, nodes);
-        cfg.partition = PartitionSpec::Strip;
-        // one jump at mid-run: the dwell time (16 steps) must exceed the
+        // One jump at mid-run: the dwell time (16 steps) must exceed the
         // balancer's adaptation time (period + one stale window) for LB to
         // amortize the migrations — faster cracks are a genuinely
         // adversarial regime, reported by ablation A5b.
         // Bands straddle strip boundaries: eq. 8 estimates power per
         // node, so a band hiding entirely inside one node's strip makes
         // that node's power estimate unsound (see ablation A5b notes).
-        cfg.work_schedule = (0..2)
-            .map(|seg| {
-                (
-                    seg * 16,
-                    WorkModel::Crack {
-                        y_cell: 200 + 100 * seg as i64,
-                        half_width: 30,
-                        factor: 0.25,
-                    },
-                )
-            })
-            .collect();
-        cfg.lb = None;
-        let off = simulate(&cfg);
-        cfg.lb = Some(LbSchedule::every(4));
-        let on = simulate(&cfg);
+        let sc = paper(400, 25, 32, ClusterSpec::uniform(4, 1))
+            .with_partition(PartitionSpec::Strip)
+            .with_work_schedule(
+                (0..2)
+                    .map(|seg| {
+                        (
+                            seg * 16,
+                            WorkModel::Crack {
+                                y_cell: 200 + 100 * seg as i64,
+                                half_width: 30,
+                                factor: 0.25,
+                            },
+                        )
+                    })
+                    .collect(),
+            );
+        let off = simulate(&sc);
+        let on = simulate(&sc.with_lb(LbSchedule::every(4)));
         assert!(
-            on.total_time < off.total_time,
+            on.makespan < off.makespan,
             "LB must track the moving crack: on {} off {}",
-            on.total_time,
-            off.total_time
+            on.makespan,
+            off.makespan
         );
         assert!(on.migrations > 0);
     }
@@ -1137,20 +838,8 @@ mod tests {
     #[test]
     fn weak_scaling_holds_time_roughly_constant() {
         // Fig. 10/12 shape: problem grows with node count.
-        let t1 = simulate(&SimConfig::paper(
-            100,
-            50,
-            5,
-            vec![VirtualNode::with_cores(1)],
-        ))
-        .total_time;
-        let t4 = simulate(&SimConfig::paper(
-            200,
-            50,
-            5,
-            (0..4).map(|_| VirtualNode::with_cores(1)).collect(),
-        ))
-        .total_time;
+        let t1 = simulate(&paper(100, 50, 5, ClusterSpec::uniform(1, 1))).makespan;
+        let t4 = simulate(&paper(200, 50, 5, ClusterSpec::uniform(4, 1))).makespan;
         let efficiency = t1 / t4;
         assert!(
             efficiency > 0.8,
@@ -1223,11 +912,10 @@ mod tests {
             state
         };
         let nn = 4usize;
-        let comm = NetSpec::Topology(nlheat_netmodel::TopologySpec::two_tier(2)).comm_cost();
+        let comm = NetSpec::Topology(TopologySpec::two_tier(2)).comm_cost();
         // (mesh, SD side, SD rings the ε = 8h halo reaches)
         for (mesh_n, sd_size, rings) in [(48usize, 4usize, 2i64), (40, 10, 1), (36, 3, 3)] {
-            let cfg = SimConfig::paper(mesh_n, sd_size, 1, vec![VirtualNode::with_cores(1); nn]);
-            let geo = Geometry::build(&cfg);
+            let geo = Geometry::build(&paper(mesh_n, sd_size, 1, ClusterSpec::uniform(nn, 1)));
             assert_eq!((geo.halo + geo.sds.sd - 1) / geo.sds.sd, rings);
             let n = geo.sds.count();
             for pattern in 0..4 {

@@ -50,8 +50,8 @@ pub use nlheat_sim as sim;
 pub mod prelude {
     pub use nlheat_amt::prelude::*;
     pub use nlheat_core::balance::{
-        iterate_rebalance, plan_rebalance, plan_rebalance_ghost_aware, plan_rebalance_with_cost,
-        CostParams, EpochTrace, LbNetwork, LbPolicy, LbSchedule, LbSpec,
+        iterate_rebalance, plan_rebalance, plan_rebalance_ghost_aware, CostParams, EpochTrace,
+        LbNetwork, LbPolicy, LbSchedule, LbSpec,
     };
     pub use nlheat_core::dist::{run_distributed, DistConfig};
     pub use nlheat_core::ownership::Ownership;
@@ -60,7 +60,7 @@ pub mod prelude {
     };
     pub use nlheat_core::scenario::{
         ClusterEvent, ClusterSpec, DistSubstrate, LbInput, PartitionSpec, RunExtras, RunReport,
-        Scenario, Substrate,
+        Scenario, Substrate, VirtualNode,
     };
     pub use nlheat_core::scenarios;
     pub use nlheat_core::shared::{SharedConfig, SharedSolver};
@@ -68,5 +68,5 @@ pub mod prelude {
     pub use nlheat_mesh::{Grid, SdGrid};
     pub use nlheat_model::prelude::*;
     pub use nlheat_partition::{part_mesh_dual, PartitionConfig, SdGraph};
-    pub use nlheat_sim::{simulate, RunSim, SimConfig, SimSubstrate, VirtualNode};
+    pub use nlheat_sim::{RunSim, SimSubstrate};
 }

@@ -6,7 +6,7 @@
 //! directly.
 
 use nonlocalheat::core::balance::{
-    compute_metrics, iterate_rebalance, plan_rebalance, plan_rebalance_with_cost,
+    compute_metrics, iterate_rebalance, plan_rebalance, plan_rebalance_ghost_aware,
 };
 use nonlocalheat::prelude::*;
 
@@ -146,7 +146,8 @@ fn lambda_zero_cost_aware_plans_match_seed_planner() {
             vec![1.0, 1.0, 9.0, 1.0],
         ] {
             let seed = plan_rebalance(&own, &busy);
-            let cost_aware = plan_rebalance_with_cost(&own, &busy, &params);
+            let metrics = compute_metrics(&own.counts(), &busy);
+            let cost_aware = plan_rebalance_ghost_aware(&own, metrics, &params, None);
             assert_eq!(seed.moves, cost_aware.moves);
             assert_eq!(seed.new_ownership, cost_aware.new_ownership);
             assert_eq!(seed.metrics, cost_aware.metrics);
@@ -240,12 +241,13 @@ fn tree_spec_pinned_byte_identical_to_pre_policy_planner() {
                 vec![3.0, 0.5, 1.0, 2.0],
                 vec![1.0, 1.0, 9.0, 1.0],
             ] {
-                let legacy = plan_rebalance_with_cost(
-                    &own,
-                    &busy,
-                    &CostParams::new(net.comm, lambda, net.sd_bytes.clone()),
-                );
                 let metrics = compute_metrics(&own.counts(), &busy);
+                let legacy = plan_rebalance_ghost_aware(
+                    &own,
+                    metrics.clone(),
+                    &CostParams::new(net.comm, lambda, net.sd_bytes.clone()),
+                    None,
+                );
                 let plan = policy.plan(&own, &metrics, &net);
                 assert_eq!(legacy.moves, plan.moves, "λ={lambda}");
                 assert_eq!(legacy.new_ownership, plan.new_ownership);

@@ -4,7 +4,7 @@ use bytes::Bytes;
 use nonlocalheat::amt::codec::{decode_f64_vec, encode_f64_slice, Wire};
 use nonlocalheat::amt::rendezvous::Rendezvous;
 use nonlocalheat::core::balance::{
-    compute_metrics, plan_rebalance, plan_rebalance_with_cost, CostParams, LbNetwork, LbSpec,
+    compute_metrics, plan_rebalance, plan_rebalance_ghost_aware, CostParams, LbNetwork, LbSpec,
 };
 use nonlocalheat::core::ownership::Ownership;
 use nonlocalheat::mesh::{build_halo_plan, split_cases, Rect, SdGrid};
@@ -252,7 +252,8 @@ proptest! {
             inter_rack: LinkSpec::new(0.5, 2e4),
         }));
         let params = CostParams::new(comm, lambda, 4 * 4 * 8 + 24);
-        let plan = plan_rebalance_with_cost(&own, &busy_vec, &params);
+        let plan =
+            plan_rebalance_ghost_aware(&own, compute_metrics(&own.counts(), &busy_vec), &params, None);
 
         let mut arrived = std::collections::HashSet::new();
         for m in &plan.moves {

@@ -11,12 +11,13 @@
 //! Three more cases plan from measured busy times with the adaptive-λ and
 //! adaptive-μ decorators (alone and composed), so the migration-stall and
 //! ghost-stall feedback the balancer feeds them is pinned too: reordering
-//! those calls changes the plans.
+//! those calls changes the plans. Two last cases cover branches no library
+//! scenario reaches: the hotpath bench's balanced 256-SD run, and a run
+//! with case-1/case-2 overlap off.
 
 use nonlocalheat::core::scenarios::{lopsided_owners, two_rack_net};
 use nonlocalheat::netmodel::NetSpec;
 use nonlocalheat::prelude::*;
-use nonlocalheat::sim::engine::SimRun;
 
 /// FNV-1a over 64-bit words: a stable digest for the per-node vectors and
 /// the move lists.
@@ -49,7 +50,8 @@ struct Pinned {
 }
 
 impl Pinned {
-    fn of(run: &SimRun) -> Self {
+    fn of(run: &RunReport) -> Self {
+        let extras = run.sim_extras().expect("a simulator report");
         let bits = |v: &[f64]| fnv(v.iter().map(|x| x.to_bits()));
         let plans = run.lb_plans.iter().flat_map(|plan| {
             std::iter::once(plan.len() as u64).chain(
@@ -58,13 +60,13 @@ impl Pinned {
             )
         });
         Pinned {
-            total_time: run.total_time.to_bits(),
+            total_time: run.makespan.to_bits(),
             busy: bits(&run.busy),
-            busy_fraction: bits(&run.busy_fraction),
-            cross_bytes: run.cross_bytes,
+            busy_fraction: bits(&extras.busy_fraction),
+            cross_bytes: extras.cross_bytes,
             ghost_bytes: run.ghost_bytes,
             inter_rack_ghost_bytes: run.inter_rack_ghost_bytes,
-            messages: run.messages,
+            messages: extras.messages,
             migrations: run.migrations,
             migration_bytes: run.migration_bytes,
             lb_plans: fnv(plans),
@@ -127,23 +129,39 @@ fn adaptive_specs() -> Vec<(&'static str, LbSpec, LbSpec)> {
     ]
 }
 
-fn runs() -> Vec<(&'static str, SimRun)> {
+/// The hotpath bench's `event_core/sim_lb_256sd_4n_12st` run: 256 SDs on
+/// four nodes, one twice as fast, balanced every four steps.
+fn hotpath_lb() -> Scenario {
+    Scenario::square(400, 8.0, 25, 12)
+        .on(ClusterSpec::speeds(&[2.0, 1.0, 1.0, 1.0]))
+        .with_lb(LbSchedule::every(4))
+}
+
+/// Ablation A2's no-overlap leg at its 5000 µs latency point.
+fn no_overlap() -> Scenario {
+    Scenario::square(200, 8.0, 50, 3)
+        .on(ClusterSpec::uniform(4, 1))
+        .with_net(NetSpec::shared(5e-3, 1e9))
+        .with_overlap(false)
+}
+
+fn runs() -> Vec<(&'static str, RunReport)> {
     let mut scs = scenarios::all(true);
     scs.push(("multi-ring-lb", multi_ring_lb()));
     for (name, spec, _) in adaptive_specs() {
         scs.push((name, adaptive_two_rack(spec)));
     }
+    scs.push(("hotpath-lb", hotpath_lb()));
+    scs.push(("no-overlap", no_overlap()));
     scs.into_iter()
-        .map(|(name, sc)| {
-            sc.validate();
-            (name, simulate(&SimConfig::from(&sc)))
-        })
+        .map(|(name, sc)| (name, sc.run_sim()))
         .collect()
 }
 
 /// Recorded from the simulator before its geometry and ownership view
 /// stopped keeping one halo plan per SD; the adaptive cases were recorded
-/// before the balancing epoch moved into one shared controller.
+/// before the balancing epoch moved into one shared controller, and the
+/// last two before the simulator took a `Scenario` directly.
 fn pinned() -> Vec<(&'static str, Pinned)> {
     vec![
         (
@@ -341,6 +359,36 @@ fn pinned() -> Vec<(&'static str, Pinned)> {
                 lb_plans: 901131323502889997,
             },
         ),
+        (
+            "hotpath-lb",
+            Pinned {
+                total_time: 4595286319746893209,
+                busy: 5535805358559453338,
+                busy_fraction: 8036220111161643759,
+                cross_bytes: 3214688,
+                ghost_bytes: 2918272,
+                inter_rack_ghost_bytes: 0,
+                messages: 3019,
+                migrations: 59,
+                migration_bytes: 296416,
+                lb_plans: 17617537664041175130,
+            },
+        ),
+        (
+            "no-overlap",
+            Pinned {
+                total_time: 4582536208270166009,
+                busy: 12614491267973045213,
+                busy_fraction: 659749442719832365,
+                cross_bytes: 186912,
+                ghost_bytes: 186912,
+                inter_rack_ghost_bytes: 0,
+                messages: 108,
+                migrations: 0,
+                migration_bytes: 0,
+                lb_plans: 14695981039346656037,
+            },
+        ),
     ]
 }
 
@@ -350,8 +398,8 @@ fn adaptive_cases_move_their_weights() {
     // feedback never moved λ or μ, each run would plan exactly like the
     // policy it wraps and the pins would not cover the feedback order.
     for (name, spec, inner) in adaptive_specs() {
-        let adaptive = simulate(&SimConfig::from(&adaptive_two_rack(spec)));
-        let plain = simulate(&SimConfig::from(&adaptive_two_rack(inner)));
+        let adaptive = adaptive_two_rack(spec).run_sim();
+        let plain = adaptive_two_rack(inner).run_sim();
         assert_ne!(adaptive.lb_plans, plain.lb_plans, "{name}");
     }
 }
