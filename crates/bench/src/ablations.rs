@@ -289,15 +289,15 @@ pub fn a7_comm_aware_lambda(quick: bool) -> FigData {
     fig
 }
 
-/// The A8 policy roster: every [`LbSpec`] variant, in the fixed order the
-/// figure's x-axis uses.
+/// The A8 policy roster: the paper's tree at λ = 1 and at λ = 0 and the
+/// two alternative leaf policies, in the fixed order the figure's x-axis
+/// uses.
 pub fn a8_policies() -> Vec<(&'static str, LbSpec)> {
     vec![
         ("tree λ=1", LbSpec::tree(1.0)),
         ("diffusion", LbSpec::diffusion(1.0, 8)),
         ("greedy-steal", LbSpec::greedy_steal(1)),
-        ("adaptive-λ", LbSpec::adaptive(LbSpec::tree(0.0), 0.05)),
-        ("adaptive-μ", LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.3)),
+        ("tree λ=0", LbSpec::tree(0.0)),
     ]
 }
 
@@ -312,7 +312,7 @@ pub fn a8_policy_comparison(quick: bool) -> FigData {
     let steps = if quick { 16 } else { 48 };
     let mut fig = FigData::new(
         "A8 — LB policies on 2 racks x 2 nodes (speeds 2:1:2:1; x: 0=tree λ=1, \
-         1=diffusion, 2=greedy-steal, 3=adaptive-λ, 4=adaptive-μ)",
+         1=diffusion, 2=greedy-steal, 3=tree λ=0)",
         "policy",
         "sim time (ms) / sim migration KB / sim inter-rack KB / real migrations",
     );
@@ -886,13 +886,12 @@ mod tests {
             let time = &fig.series[0].points;
             let real = &fig.series[3].points;
             let no_lb = fig.series[4].points[0].1;
-            assert_eq!(time.len(), 5, "all five policy variants must run");
+            assert_eq!(time.len(), 4, "all four policies must run");
             for (i, &(x, t)) in time.iter().enumerate() {
                 assert!(t.is_finite() && t > 0.0, "policy {x} produced time {t}");
                 // The strip start on 2:1:2:1 speeds is badly imbalanced,
                 // so every policy must recover most of the static
-                // penalty. The adaptive decorators may briefly gate while
-                // their weights settle, hence the small allowance.
+                // penalty.
                 assert!(
                     t <= no_lb * 1.05,
                     "policy {x} (series idx {i}) lost to no-LB: {t} vs {no_lb}"
@@ -905,12 +904,10 @@ mod tests {
                 "inter-rack bytes must be recorded: {inter:?}"
             );
             // Migration counts must be positive for the ungated policies
-            // (indices 1–3: diffusion, greedy-steal, adaptive-λ at its
-            // initial λ=0); tree λ=1 legitimately gates everything at
-            // smoke scale (wall-clock busy relief is microseconds, the
-            // intra-rack link estimate is 100 µs), and adaptive-μ may
-            // learn a gating μ from the smoke-scale ghost stalls for the
-            // same reason (the A9 caveat).
+            // (indices 1–3: diffusion, greedy-steal, tree λ=0); tree λ=1
+            // legitimately gates everything at smoke scale (wall-clock
+            // busy relief is microseconds, the intra-rack link estimate is
+            // 100 µs).
             last_real = real.clone();
             if real[1..=3].iter().all(|p| p.1 > 0.0) {
                 return;

@@ -11,15 +11,10 @@
 //! * the epoch gate ([`LbSchedule::due`]);
 //! * the planning view ([`LbNetwork`] with the [`SdGraph`] and, when any
 //!   rank declares a cap, the memory tables), built once per run;
-//! * the planner input: measured busy times or, under
+//! * the planner input: measured busy seconds or, under
 //!   [`LbInput::Modeled`], [`modeled_busy`], plus the elastic-membership
-//!   mask ([`active_at`]);
-//! * the feedback to adaptive policies, in one fixed order: the previous
-//!   epoch's migration stall over the previous window
-//!   ([`LbPolicy::observe_stall`]), then this window's ghost stall
-//!   ([`LbPolicy::observe_ghost_stall`]), then [`LbPolicy::plan`]. Windows
-//!   are barrier-to-barrier on the substrate's clock. Modeled planning
-//!   sends no feedback — determinism is the point of that mode;
+//!   mask ([`active_at`]). Busy time is the only thing a substrate
+//!   measures for the balancer: busy seconds in, plan out;
 //! * the records of every realized (non-empty) epoch: [`EpochTrace`],
 //!   the move list and the post-plan SD counts.
 //!
@@ -77,12 +72,6 @@ pub struct EpochInput<'a> {
     pub ownership: &'a Ownership,
     /// Per-rank busy seconds over the window (read under measured input).
     pub busy: &'a [f64],
-    /// The worst rank's ghost-stall seconds over the window.
-    pub ghost_stall: f64,
-    /// The worst rank's stall seconds in the previous epoch's migration.
-    pub migration_stall: f64,
-    /// The substrate's clock at the epoch barrier, in seconds.
-    pub barrier: f64,
     /// The workload in effect (read under modeled input).
     pub work: &'a WorkModel,
 }
@@ -127,15 +116,12 @@ impl EpochRecords {
 }
 
 /// One policy instance and its planning view, alive across a whole run
-/// so stateful policies learn from every epoch.
+/// so stateful policies (the drift monitor) see every epoch.
 pub struct EpochController {
     schedule: LbSchedule,
     setup: EpochSetup,
     policy: Box<dyn LbPolicy>,
     net: LbNetwork,
-    last_barrier: f64,
-    /// The previous epoch's window, once there is one.
-    prev_window: Option<f64>,
     records: EpochRecords,
 }
 
@@ -147,10 +133,6 @@ impl EpochController {
     /// name every rank.
     pub fn new(schedule: &LbSchedule, setup: EpochSetup) -> Self {
         schedule.validate();
-        Self::with_policy(schedule, setup, schedule.spec.build())
-    }
-
-    fn with_policy(schedule: &LbSchedule, setup: EpochSetup, policy: Box<dyn LbPolicy>) -> Self {
         let graph = Arc::new(SdGraph::build(&setup.sds, setup.halo));
         let mut net = LbNetwork::for_sd_tiles(&setup.net, setup.sds.cells_per_sd());
         if let Some(caps) = &setup.memory_bytes {
@@ -163,11 +145,9 @@ impl EpochController {
         }
         EpochController {
             schedule: schedule.clone(),
-            policy,
+            policy: schedule.spec.build(),
             net: net.with_sd_graph(graph),
             setup,
-            last_barrier: 0.0,
-            prev_window: None,
             records: EpochRecords::default(),
         }
     }
@@ -182,18 +162,11 @@ impl EpochController {
         &self.net
     }
 
-    /// Run one epoch: feedback, plan, record. The caller migrates.
+    /// Run one epoch: plan, record. The caller migrates.
     pub fn epoch(&mut self, input: EpochInput<'_>) -> EpochPlan {
         let own = input.ownership;
-        let window = (input.barrier - self.last_barrier).max(1e-12);
         let busy = match self.setup.input {
-            LbInput::Measured => {
-                if let Some(prev) = self.prev_window {
-                    self.policy.observe_stall(input.migration_stall / prev);
-                }
-                self.policy.observe_ghost_stall(input.ghost_stall / window);
-                input.busy.iter().map(|&b| b.max(1e-12)).collect()
-            }
+            LbInput::Measured => input.busy.iter().map(|&b| b.max(1e-12)).collect(),
             LbInput::Modeled => modeled_busy(
                 &self.setup.sds,
                 own.owners(),
@@ -203,8 +176,6 @@ impl EpochController {
                 self.setup.sec_per_dp,
             ),
         };
-        self.prev_window = Some(window);
-        self.last_barrier = input.barrier;
         if !self.setup.cluster_events.is_empty() {
             let n = own.n_nodes() as usize;
             let mask = active_at(n, &self.setup.cluster_events, input.step + 1);
@@ -235,8 +206,6 @@ impl EpochController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance::{LbSpec, LoadMetrics};
-    use std::sync::Mutex;
 
     fn setup(n_steps: usize, input: LbInput) -> EpochSetup {
         EpochSetup {
@@ -252,14 +221,11 @@ mod tests {
         }
     }
 
-    fn input<'a>(own: &'a Ownership, busy: &'a [f64], barrier: f64) -> EpochInput<'a> {
+    fn input<'a>(own: &'a Ownership, busy: &'a [f64]) -> EpochInput<'a> {
         EpochInput {
             step: 1,
             ownership: own,
             busy,
-            ghost_stall: 0.0,
-            migration_stall: 0.0,
-            barrier,
             work: &WorkModel::Uniform,
         }
     }
@@ -278,13 +244,13 @@ mod tests {
         let mut ctl = EpochController::new(&LbSchedule::every(2), setup(8, LbInput::Measured));
         let sds = SdGrid::new(4, 4, 4);
         let even = Ownership::new(sds, (0..16).map(|sd| sd / 8).collect(), 2);
-        let out = ctl.epoch(input(&even, &[1.0, 1.0], 1.0));
+        let out = ctl.epoch(input(&even, &[1.0, 1.0]));
         assert!(out.plan.moves.is_empty());
         assert!(out.plan_seconds >= 0.0);
         let mut owners = vec![0u32; 16];
         owners[15] = 1;
         let lopsided = Ownership::new(sds, owners, 2);
-        let out = ctl.epoch(input(&lopsided, &[15.0, 1.0], 2.0));
+        let out = ctl.epoch(input(&lopsided, &[15.0, 1.0]));
         assert!(!out.plan.moves.is_empty());
         let records = ctl.finish();
         assert_eq!(records.lb_plans, vec![out.plan.moves.clone()]);
@@ -304,67 +270,5 @@ mod tests {
         assert_eq!(**graph, SdGraph::build(&SdGrid::new(4, 4, 4), 1));
         assert_eq!(ctl.net().sd_footprint.as_deref(), Some(&graph.footprints()));
         assert!(ctl.net().memory_bytes.is_some());
-    }
-
-    /// Delegates to the tree policy, logging every call it receives.
-    struct Recording {
-        inner: Box<dyn LbPolicy>,
-        log: Arc<Mutex<Vec<String>>>,
-    }
-
-    impl LbPolicy for Recording {
-        fn name(&self) -> &'static str {
-            "recording"
-        }
-
-        fn plan(
-            &mut self,
-            own: &Ownership,
-            metrics: &LoadMetrics,
-            net: &LbNetwork,
-        ) -> MigrationPlan {
-            self.log.lock().unwrap().push("plan".into());
-            self.inner.plan(own, metrics, net)
-        }
-
-        fn observe_stall(&mut self, frac: f64) {
-            self.log.lock().unwrap().push(format!("stall {frac}"));
-        }
-
-        fn observe_ghost_stall(&mut self, frac: f64) {
-            self.log.lock().unwrap().push(format!("ghost {frac}"));
-        }
-    }
-
-    fn two_epochs(input_mode: LbInput) -> Vec<String> {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let policy = Box::new(Recording {
-            inner: LbSpec::tree(0.0).build(),
-            log: log.clone(),
-        });
-        let mut ctl =
-            EpochController::with_policy(&LbSchedule::every(2), setup(8, input_mode), policy);
-        let own = Ownership::new(SdGrid::new(4, 4, 4), (0..16).map(|sd| sd / 8).collect(), 2);
-        // windows of 2 s and then 4 s
-        for (barrier, ghost, stall) in [(2.0, 0.5, 9.0), (6.0, 2.0, 0.5)] {
-            ctl.epoch(EpochInput {
-                ghost_stall: ghost,
-                migration_stall: stall,
-                ..input(&own, &[1.0, 1.0], barrier)
-            });
-        }
-        let calls = log.lock().unwrap().clone();
-        calls
-    }
-
-    #[test]
-    fn feedback_precedes_each_plan_in_a_fixed_order() {
-        // Epoch 1 has no previous migration to report; epoch 2 reports it
-        // over the previous window, then this window's ghost stall.
-        assert_eq!(
-            two_epochs(LbInput::Measured),
-            ["ghost 0.25", "plan", "stall 0.25", "ghost 0.5", "plan"]
-        );
-        assert_eq!(two_epochs(LbInput::Modeled), ["plan", "plan"]);
     }
 }

@@ -562,7 +562,8 @@ pub struct HierPolicy {
 
 impl HierPolicy {
     /// Wrap the already-built leaf policy `inner` (the degenerate-case
-    /// delegate) with the hierarchical machinery's own λ/μ.
+    /// delegate, built with the same λ/μ) with the hierarchical
+    /// machinery's own λ/μ.
     pub fn new(inner: Box<dyn LbPolicy>, lambda: f64, mu: f64) -> Self {
         HierPolicy { inner, lambda, mu }
     }
@@ -575,32 +576,12 @@ impl LbPolicy for HierPolicy {
 
     fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
         if hierarchy_is_degenerate(own.n_nodes(), &net.comm) && net.memory_bytes.is_none() {
-            // keep the delegate's gates in lockstep with ours, so the
-            // degenerate case is byte-identical to the leaf policy run
-            // standalone at the same weights
-            self.inner.set_cost_weight(self.lambda);
-            self.inner.set_ghost_weight(self.mu);
+            // the delegate was built with our weights, so the degenerate
+            // case is byte-identical to the leaf policy run standalone at
+            // the same weights
             return self.inner.plan(own, metrics, net);
         }
         plan_hierarchical(own, metrics, net, self.lambda, self.mu)
-    }
-
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.lambda = lambda;
-        self.inner.set_cost_weight(lambda);
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.lambda
-    }
-
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.mu = mu;
-        self.inner.set_ghost_weight(mu);
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.mu
     }
 }
 

@@ -39,8 +39,8 @@
 //! The tree planner is one strategy behind the pluggable [`policy`] layer:
 //! both substrates select an [`policy::LbPolicy`] via
 //! [`policy::LbSpec`]/[`policy::LbSchedule`] (tree, diffusion,
-//! greedy-steal, the hierarchical memory-aware planner of [`hier`], or
-//! the adaptive-λ/μ decorators), and every policy emits the same
+//! greedy-steal, or the hierarchical memory-aware planner of [`hier`]),
+//! and every policy emits the same
 //! single-hop [`MigrationPlan`] contract.
 //!
 //! Incremental policies only ever nudge ownership; [`repart`] adds the
@@ -67,8 +67,7 @@ pub use epoch::{EpochController, EpochInput, EpochPlan, EpochRecords, EpochSetup
 pub use hier::{hierarchy_is_degenerate, plan_hierarchical, HierPolicy};
 pub use nlheat_partition::SdGraph;
 pub use policy::{
-    AdaptiveLambdaPolicy, AdaptiveMuPolicy, DiffusionPolicy, GreedyStealPolicy, LbNetwork,
-    LbPolicy, LbSchedule, LbSpec, TreePolicy,
+    DiffusionPolicy, GreedyStealPolicy, LbNetwork, LbPolicy, LbSchedule, LbSpec, TreePolicy,
 };
 pub use power::{compute_metrics, LoadMetrics};
 pub use repart::{DriftInfo, RepartitionPolicy};

@@ -7,9 +7,9 @@
 //! (`NetSpec`): an [`LbSpec`] configuration enum instantiating an
 //! [`LbPolicy`] trait object. A policy maps one epoch's measured state
 //! ([`LoadMetrics`] + [`Ownership`] + the planning-grade network view in
-//! [`LbNetwork`]) to a [`MigrationPlan`]; stateful policies (adaptive λ)
-//! additionally receive post-epoch feedback through
-//! [`LbPolicy::observe_stall`].
+//! [`LbNetwork`]) to a [`MigrationPlan`]. The λ and μ weights are fixed
+//! spec fields: measured busy time is the only runtime signal a policy
+//! sees.
 //!
 //! Every policy emits **single-hop plans**: within one plan no SD appears
 //! twice and every move's `from` is the SD's pre-epoch owner. The
@@ -32,13 +32,6 @@
 //! * [`LbSpec::GreedySteal`] — work-stealing-style greedy offload
 //!   (cf. Fernandes et al., arXiv:2401.04494): the most overloaded rank
 //!   repeatedly sheds one SD to its cheapest underloaded neighbour.
-//! * [`LbSpec::AdaptiveLambda`] — a decorator closing the "λ adapts
-//!   online" loop: wraps any inner policy and nudges its cost weight from
-//!   the measured migration-stall fraction of previous epochs.
-//! * [`LbSpec::AdaptiveMu`] — the μ analogue: nudges the inner policy's
-//!   ghost weight from the measured ghost-stall fraction
-//!   ([`LbPolicy::observe_ghost_stall`]), so the recurring-traffic gate is
-//!   steered online instead of hand-picked.
 //! * [`LbSpec::Hierarchical`] — the three-level (racks → nodes → ranks)
 //!   memory-aware planner of [`crate::balance::hier`], near-linear plan
 //!   time at 10k-rank scale; on a degenerate hierarchy without memory
@@ -232,9 +225,9 @@ impl LbNetwork {
 /// A load-balancing policy: one epoch's measured state in, a single-hop
 /// [`MigrationPlan`] out.
 ///
-/// Policies may be stateful across epochs (the adaptive-λ decorator is),
-/// so the substrate builds one instance per run via [`LbSpec::build`] and
-/// keeps it alive between epochs.
+/// Policies may be stateful across epochs (the repartitioning decorator's
+/// drift monitor is), so the substrate builds one instance per run via
+/// [`LbSpec::build`] and keeps it alive between epochs.
 pub trait LbPolicy: Send {
     /// Short label for ablation tables and logs.
     fn name(&self) -> &'static str;
@@ -245,51 +238,10 @@ pub trait LbPolicy: Send {
     /// ownership the emitted moves' `from` fields must match.
     fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan;
 
-    /// Post-epoch feedback: the fraction of the last balancing window the
-    /// substrate spent stalled on migration traffic (0 when the plan was
-    /// empty). Default: ignored.
-    fn observe_stall(&mut self, stall_frac: f64) {
-        let _ = stall_frac;
-    }
-
-    /// Pre-plan feedback: the fraction of the last balancing window the
-    /// substrate spent stalled waiting for ghost-zone arrivals (the
-    /// recurring cost an ownership's edge cut causes, as actually
-    /// experienced by the runtime). Default: ignored — the adaptive-μ
-    /// decorator is the consumer.
-    fn observe_ghost_stall(&mut self, ghost_frac: f64) {
-        let _ = ghost_frac;
-    }
-
-    /// Override the policy's communication-cost weight λ (used by the
-    /// adaptive-λ decorator to steer its inner policy). Default: ignored —
-    /// a policy without a cost gate has nothing to set.
-    fn set_cost_weight(&mut self, lambda: f64) {
-        let _ = lambda;
-    }
-
-    /// The policy's current communication-cost weight λ (0 for policies
-    /// without a cost gate).
-    fn cost_weight(&self) -> f64 {
-        0.0
-    }
-
-    /// Override the policy's ghost-traffic weight μ. Default: ignored — a
-    /// policy without a ghost gate has nothing to set.
-    fn set_ghost_weight(&mut self, mu: f64) {
-        let _ = mu;
-    }
-
-    /// The policy's current ghost-traffic weight μ (0 for policies
-    /// without a ghost gate).
-    fn ghost_weight(&self) -> f64 {
-        0.0
-    }
-
     /// What the cut-drift monitor saw at the last epoch. `None` for every
-    /// policy without one — only [`LbSpec::Repartition`] (and decorators
-    /// forwarding to it) reports, and the substrates copy it into
-    /// [`EpochTrace`](crate::balance::EpochTrace) for the A12 plots.
+    /// policy without one — only [`LbSpec::Repartition`] reports, and the
+    /// substrates copy it into [`EpochTrace`](crate::balance::EpochTrace)
+    /// for the A12 plots.
     fn drift_info(&self) -> Option<crate::balance::repart::DriftInfo> {
         None
     }
@@ -319,24 +271,6 @@ pub enum LbSpec {
     /// underloaded neighbour. `mu > 0` additionally charges each candidate
     /// SD its ghost-traffic delta.
     GreedySteal { threshold: usize, mu: f64 },
-    /// Decorator: run `inner`, and after each epoch nudge its cost weight
-    /// λ so the measured migration-stall fraction approaches
-    /// `target_stall_frac` (doubling λ when migrations stall more than
-    /// the target, halving it when they stall less than half of it).
-    AdaptiveLambda {
-        inner: Box<LbSpec>,
-        target_stall_frac: f64,
-    },
-    /// Decorator: run `inner`, and before each epoch nudge its ghost
-    /// weight μ so the measured ghost-stall fraction approaches
-    /// `target_ghost_frac` — the μ analogue of [`LbSpec::AdaptiveLambda`],
-    /// driving the [`LbPolicy::set_ghost_weight`] hook from the substrate's
-    /// [`LbPolicy::observe_ghost_stall`] feedback instead of hand-picking
-    /// a constant.
-    AdaptiveMu {
-        inner: Box<LbSpec>,
-        target_ghost_frac: f64,
-    },
     /// The hierarchical, memory-aware planner
     /// ([`crate::balance::hier::plan_hierarchical`]): settle imbalance
     /// between racks, then between the nodes of each rack, then between
@@ -347,8 +281,8 @@ pub enum LbSpec {
     /// degenerate hierarchy (no [`nlheat_netmodel::TopologySpec`], or a
     /// single rack of single-rank nodes) without capacities it delegates
     /// wholesale to `inner` — a concrete leaf policy, not a decorator —
-    /// with its λ/μ synced, so plans are byte-identical to running the
-    /// leaf standalone.
+    /// built with the hierarchy's λ/μ in place of its own, so plans are
+    /// byte-identical to running the leaf standalone at those weights.
     Hierarchical {
         inner: Box<LbSpec>,
         lambda: f64,
@@ -422,7 +356,7 @@ impl LbSpec {
     }
 
     /// Weigh each candidate move's recurring ghost-traffic delta by `mu`
-    /// (applied to the inner policy of an adaptive decorator). The term
+    /// (applied to the inner policy of a decorator). The term
     /// only bites when the substrate attaches an [`SdGraph`] to its
     /// [`LbNetwork`]; both execution substrates always do.
     ///
@@ -434,9 +368,7 @@ impl LbSpec {
             LbSpec::Tree { mu: m, .. }
             | LbSpec::Diffusion { mu: m, .. }
             | LbSpec::GreedySteal { mu: m, .. } => *m = mu,
-            LbSpec::AdaptiveLambda { inner, .. }
-            | LbSpec::AdaptiveMu { inner, .. }
-            | LbSpec::Repartition { inner, .. } => {
+            LbSpec::Repartition { inner, .. } => {
                 let updated = std::mem::take(inner.as_mut()).with_mu(mu);
                 **inner = updated;
             }
@@ -467,32 +399,6 @@ impl LbSpec {
         spec
     }
 
-    /// Wrap `inner` in the adaptive-λ decorator.
-    ///
-    /// # Panics
-    /// Panics on invalid parameters — see [`LbSpec::validate`].
-    pub fn adaptive(inner: LbSpec, target_stall_frac: f64) -> Self {
-        let spec = LbSpec::AdaptiveLambda {
-            inner: Box::new(inner),
-            target_stall_frac,
-        };
-        spec.validate();
-        spec
-    }
-
-    /// Wrap `inner` in the adaptive-μ decorator.
-    ///
-    /// # Panics
-    /// Panics on invalid parameters — see [`LbSpec::validate`].
-    pub fn adaptive_mu(inner: LbSpec, target_ghost_frac: f64) -> Self {
-        let spec = LbSpec::AdaptiveMu {
-            inner: Box::new(inner),
-            target_ghost_frac,
-        };
-        spec.validate();
-        spec
-    }
-
     /// Wrap `inner` in the cut-aware repartitioning decorator
     /// ([`crate::balance::repart::RepartitionPolicy`]).
     ///
@@ -514,52 +420,12 @@ impl LbSpec {
         spec
     }
 
-    /// True when the spec's decorator chain contains an adaptive-λ
-    /// decorator (used to reject silently-inert nesting).
-    fn chain_has_adaptive_lambda(&self) -> bool {
-        match self {
-            LbSpec::AdaptiveLambda { .. } => true,
-            LbSpec::AdaptiveMu { inner, .. }
-            | LbSpec::Hierarchical { inner, .. }
-            | LbSpec::Repartition { inner, .. } => inner.chain_has_adaptive_lambda(),
-            _ => false,
-        }
-    }
-
-    /// True when the spec's decorator chain contains an adaptive-μ
-    /// decorator.
-    fn chain_has_adaptive_mu(&self) -> bool {
-        match self {
-            LbSpec::AdaptiveMu { .. } => true,
-            LbSpec::AdaptiveLambda { inner, .. }
-            | LbSpec::Hierarchical { inner, .. }
-            | LbSpec::Repartition { inner, .. } => inner.chain_has_adaptive_mu(),
-            _ => false,
-        }
-    }
-
-    /// True when the spec's decorator chain contains a repartition
-    /// decorator (nesting one would double-replan the same drift;
-    /// elastic-membership scenarios *require* one — see
-    /// [`crate::scenario::Scenario::validate`]).
-    pub(crate) fn chain_has_repartition(&self) -> bool {
-        match self {
-            LbSpec::Repartition { .. } => true,
-            LbSpec::AdaptiveLambda { inner, .. }
-            | LbSpec::AdaptiveMu { inner, .. }
-            | LbSpec::Hierarchical { inner, .. } => inner.chain_has_repartition(),
-            _ => false,
-        }
-    }
-
     /// The policy's ablation label.
     pub fn name(&self) -> &'static str {
         match self {
             LbSpec::Tree { .. } => "tree",
             LbSpec::Diffusion { .. } => "diffusion",
             LbSpec::GreedySteal { .. } => "greedy-steal",
-            LbSpec::AdaptiveLambda { .. } => "adaptive-lambda",
-            LbSpec::AdaptiveMu { .. } => "adaptive-mu",
             LbSpec::Hierarchical { .. } => "hierarchical",
             LbSpec::Repartition { .. } => "repartition",
         }
@@ -572,8 +438,8 @@ impl LbSpec {
     ///
     /// # Panics
     /// Panics on: non-finite or negative `lambda` or `mu`; non-finite or
-    /// non-positive `tolerance`; `max_rounds` of 0; `threshold` of 0;
-    /// `target_stall_frac` outside `(0, 1)`; or an invalid inner spec.
+    /// non-positive `tolerance`; `max_rounds` of 0; `threshold` of 0; or an
+    /// invalid inner spec.
     pub fn validate(&self) {
         let check_mu = |mu: &f64| crate::balance::algorithm::validate_mu(*mu);
         match self {
@@ -600,42 +466,6 @@ impl LbSpec {
                 assert!(*threshold >= 1, "greedy-steal threshold must be at least 1");
                 check_mu(mu);
             }
-            LbSpec::AdaptiveLambda {
-                inner,
-                target_stall_frac,
-            } => {
-                assert!(
-                    *target_stall_frac > 0.0
-                        && *target_stall_frac < 1.0
-                        && target_stall_frac.is_finite(),
-                    "target_stall_frac must be in (0, 1), got {target_stall_frac}"
-                );
-                // A nested same-kind decorator would be silently inert:
-                // the outer one keeps the feedback to itself and clobbers
-                // the inner's weight every epoch — anywhere in the chain,
-                // including through an adaptive-μ layer in between.
-                assert!(
-                    !inner.chain_has_adaptive_lambda(),
-                    "AdaptiveLambda cannot wrap another AdaptiveLambda"
-                );
-                inner.validate();
-            }
-            LbSpec::AdaptiveMu {
-                inner,
-                target_ghost_frac,
-            } => {
-                assert!(
-                    *target_ghost_frac > 0.0
-                        && *target_ghost_frac < 1.0
-                        && target_ghost_frac.is_finite(),
-                    "target_ghost_frac must be in (0, 1), got {target_ghost_frac}"
-                );
-                assert!(
-                    !inner.chain_has_adaptive_mu(),
-                    "AdaptiveMu cannot wrap another AdaptiveMu"
-                );
-                inner.validate();
-            }
             LbSpec::Hierarchical { inner, lambda, mu } => {
                 assert!(
                     *lambda >= 0.0 && lambda.is_finite(),
@@ -643,9 +473,9 @@ impl LbSpec {
                 );
                 check_mu(mu);
                 // The inner spec is the degenerate-case delegate, planning
-                // whole epochs on its own: a decorator there would never
-                // receive the substrate feedback it adapts on, and a
-                // nested hierarchy is meaningless — demand a leaf.
+                // whole epochs on its own with the hierarchy's weights: a
+                // decorator there would plan with weights it never sees,
+                // and a nested hierarchy is meaningless — demand a leaf.
                 assert!(
                     matches!(
                         **inner,
@@ -671,8 +501,9 @@ impl LbSpec {
                     *max_bytes_per_epoch >= 1,
                     "max_bytes_per_epoch must be positive (u64::MAX = unbounded)"
                 );
+                // nesting one would double-replan the same drift
                 assert!(
-                    !inner.chain_has_repartition(),
+                    !matches!(**inner, LbSpec::Repartition { .. }),
                     "Repartition cannot wrap another Repartition"
                 );
                 inner.validate();
@@ -687,58 +518,15 @@ impl LbSpec {
     pub fn build(&self) -> Box<dyn LbPolicy> {
         self.validate();
         match self {
-            LbSpec::Tree { lambda, mu } => Box::new(TreePolicy {
-                lambda: *lambda,
-                mu: *mu,
-            }),
-            LbSpec::Diffusion {
-                tolerance,
-                max_rounds,
-                mu,
-            } => Box::new(DiffusionPolicy {
-                tolerance: *tolerance,
-                max_rounds: *max_rounds,
-                cost_weight: 0.0,
-                ghost_weight: *mu,
-            }),
-            LbSpec::GreedySteal { threshold, mu } => Box::new(GreedyStealPolicy {
-                threshold: *threshold,
-                cost_weight: 0.0,
-                ghost_weight: *mu,
-            }),
-            LbSpec::AdaptiveLambda {
-                inner,
-                target_stall_frac,
-            } => {
-                let inner = inner.build();
-                // start from the inner policy's configured weight so the
-                // decorator nudges rather than resets
-                let lambda = inner.cost_weight();
-                Box::new(AdaptiveLambdaPolicy {
-                    inner,
-                    target_stall_frac: *target_stall_frac,
-                    lambda,
-                })
+            // diffusion and greedy-steal carry no λ of their own: only a
+            // hierarchy hands them a nonzero one
+            LbSpec::Tree { lambda, mu } => self.build_leaf(*lambda, *mu),
+            LbSpec::Diffusion { mu, .. } | LbSpec::GreedySteal { mu, .. } => {
+                self.build_leaf(0.0, *mu)
             }
-            LbSpec::AdaptiveMu {
-                inner,
-                target_ghost_frac,
-            } => {
-                let inner = inner.build();
-                let mu = inner.ghost_weight();
-                Box::new(AdaptiveMuPolicy {
-                    inner,
-                    target_ghost_frac: *target_ghost_frac,
-                    mu,
-                })
-            }
-            LbSpec::Hierarchical { inner, lambda, mu } => {
-                let mut leaf = inner.build();
-                // keep the delegate's gates in lockstep from the start
-                leaf.set_cost_weight(*lambda);
-                leaf.set_ghost_weight(*mu);
-                Box::new(crate::balance::hier::HierPolicy::new(leaf, *lambda, *mu))
-            }
+            LbSpec::Hierarchical { inner, lambda, mu } => Box::new(
+                crate::balance::hier::HierPolicy::new(inner.build_leaf(*lambda, *mu), *lambda, *mu),
+            ),
             LbSpec::Repartition {
                 inner,
                 drift_threshold,
@@ -750,6 +538,35 @@ impl LbSpec {
                 *period,
                 *max_bytes_per_epoch,
             )),
+        }
+    }
+
+    /// Instantiate a leaf policy planning with the weights `lambda` and
+    /// `mu` in place of the spec's own — how a hierarchy hands its λ/μ to
+    /// the delegate it runs on a degenerate cluster.
+    ///
+    /// # Panics
+    /// Panics on a decorator spec: [`LbSpec::validate`] only admits a leaf
+    /// under [`LbSpec::Hierarchical`].
+    fn build_leaf(&self, lambda: f64, mu: f64) -> Box<dyn LbPolicy> {
+        match self {
+            LbSpec::Tree { .. } => Box::new(TreePolicy { lambda, mu }),
+            LbSpec::Diffusion {
+                tolerance,
+                max_rounds,
+                ..
+            } => Box::new(DiffusionPolicy {
+                tolerance: *tolerance,
+                max_rounds: *max_rounds,
+                lambda,
+                mu,
+            }),
+            LbSpec::GreedySteal { threshold, .. } => Box::new(GreedyStealPolicy {
+                threshold: *threshold,
+                lambda,
+                mu,
+            }),
+            _ => unreachable!("{} is not a leaf policy", self.name()),
         }
     }
 }
@@ -818,32 +635,16 @@ impl LbPolicy for TreePolicy {
         let cost = CostParams::new(net.comm, self.lambda, net.sd_bytes.clone()).with_mu(self.mu);
         plan_rebalance_ghost_aware(own, metrics.clone(), &cost, net.sd_graph.as_deref())
     }
-
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.lambda = lambda;
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.lambda
-    }
-
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.mu = mu;
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.mu
-    }
 }
 
 /// [`LbSpec::Diffusion`]: first-order pairwise load exchange.
 pub struct DiffusionPolicy {
     tolerance: f64,
     max_rounds: usize,
-    /// λ gate on realizations; 0 unless set by the adaptive decorator.
-    cost_weight: f64,
+    /// λ gate on realizations; 0 unless a hierarchy hands one down.
+    lambda: f64,
     /// μ gate on each candidate SD's ghost-traffic delta.
-    ghost_weight: f64,
+    mu: f64,
 }
 
 impl LbPolicy for DiffusionPolicy {
@@ -855,17 +656,13 @@ impl LbPolicy for DiffusionPolicy {
         let mut imbalance = metrics.imbalance.clone();
         let mut working = own.clone();
         let mut raw: Vec<Move> = Vec::new();
-        let ghost = net.ghost_graph(self.ghost_weight);
+        let ghost = net.ghost_graph(self.mu);
         // Undirected exchange edges from the neighbour graph (the real
         // ghost-exchange adjacency when μ is active, the complete
         // link-class graph otherwise), cheapest class first (ties by ids)
         // so imbalance settles within racks before any of it crosses them.
         let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for (i, nbs) in net
-            .neighbour_graph(own, self.ghost_weight)
-            .iter()
-            .enumerate()
-        {
+        for (i, nbs) in net.neighbour_graph(own, self.mu).iter().enumerate() {
             for &j in nbs {
                 if (j as usize) > i {
                     edges.push((i as NodeId, j));
@@ -897,16 +694,14 @@ impl LbPolicy for DiffusionPolicy {
                     (j, i, (-flow) as usize)
                 };
                 let relief = metrics.relief_per_sd(src as usize);
-                let gain = |sd| {
-                    relief - self.cost_weight * net.comm.seconds(src, dst, net.sd_bytes.get(sd))
-                };
+                let gain =
+                    |sd| relief - self.lambda * net.comm.seconds(src, dst, net.sd_bytes.get(sd));
                 let realized = match ghost {
                     Some(g) => {
                         // one SD at a time so every delta is exact against
                         // the evolving ownership (see realize_ghost_aware)
                         realize_ghost_aware(&mut working, &mut raw, src, dst, amount, |o, sd| {
-                            gain(sd)
-                                - self.ghost_weight * ghost_delta_seconds(&net.comm, g, o, sd, dst)
+                            gain(sd) - self.mu * ghost_delta_seconds(&net.comm, g, o, sd, dst)
                         })
                     }
                     None => {
@@ -937,32 +732,16 @@ impl LbPolicy for DiffusionPolicy {
         }
         finish_plan(metrics.clone(), working, raw, &net.comm, &net.sd_bytes)
     }
-
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.cost_weight = lambda;
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.cost_weight
-    }
-
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.ghost_weight = mu;
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.ghost_weight
-    }
 }
 
 /// [`LbSpec::GreedySteal`]: max-loaded rank sheds to its cheapest
 /// underloaded neighbour, one SD at a time.
 pub struct GreedyStealPolicy {
     threshold: usize,
-    /// λ gate on steals; 0 unless set by the adaptive decorator.
-    cost_weight: f64,
+    /// λ gate on steals; 0 unless a hierarchy hands one down.
+    lambda: f64,
     /// μ gate on each candidate SD's ghost-traffic delta.
-    ghost_weight: f64,
+    mu: f64,
 }
 
 impl LbPolicy for GreedyStealPolicy {
@@ -975,8 +754,8 @@ impl LbPolicy for GreedyStealPolicy {
         let mut imbalance = metrics.imbalance.clone();
         let mut working = own.clone();
         let mut raw: Vec<Move> = Vec::new();
-        let ghost = net.ghost_graph(self.ghost_weight);
-        let graph = net.neighbour_graph(own, self.ghost_weight);
+        let ghost = net.ghost_graph(self.mu);
+        let graph = net.neighbour_graph(own, self.mu);
         // A rank whose every candidate fails (no reachable frontier, or
         // fully λ-gated) is parked so the loop always terminates: each
         // iteration either realizes a move (shrinking Σ|imbalance|) or
@@ -994,14 +773,12 @@ impl LbPolicy for GreedyStealPolicy {
                 let relief = metrics.relief_per_sd(src);
                 let gain = |sd| {
                     relief
-                        - self.cost_weight
-                            * net.comm.seconds(src as NodeId, dst, net.sd_bytes.get(sd))
+                        - self.lambda * net.comm.seconds(src as NodeId, dst, net.sd_bytes.get(sd))
                 };
                 let chosen = match ghost {
                     Some(g) => select_transfer_scored(&working, src as NodeId, dst, 1, |sd| {
                         gain(sd)
-                            - self.ghost_weight
-                                * ghost_delta_seconds(&net.comm, g, working.owners(), sd, dst)
+                            - self.mu * ghost_delta_seconds(&net.comm, g, working.owners(), sd, dst)
                     }),
                     None => select_transfer_scored(&working, src as NodeId, dst, 1, gain),
                 };
@@ -1023,179 +800,6 @@ impl LbPolicy for GreedyStealPolicy {
             }
         }
         finish_plan(metrics.clone(), working, raw, &net.comm, &net.sd_bytes)
-    }
-
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.cost_weight = lambda;
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.cost_weight
-    }
-
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.ghost_weight = mu;
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.ghost_weight
-    }
-}
-
-/// [`LbSpec::AdaptiveLambda`]: closes the λ feedback loop. Doubles the
-/// inner policy's cost weight when migrations stalled the last window more
-/// than the target fraction, halves it when they stalled less than half
-/// the target (the dead band in between holds λ steady, avoiding
-/// oscillation around the setpoint).
-pub struct AdaptiveLambdaPolicy {
-    inner: Box<dyn LbPolicy>,
-    target_stall_frac: f64,
-    lambda: f64,
-}
-
-impl AdaptiveLambdaPolicy {
-    /// λ is clamped here so `CostParams::new` can never see a non-finite
-    /// weight, no matter how many stalled epochs pile up.
-    const LAMBDA_MAX: f64 = 1e9;
-    /// Below this, λ snaps to exactly 0 so the inner policy degenerates to
-    /// its count-based behaviour instead of carrying float dust.
-    const LAMBDA_MIN: f64 = 1e-6;
-}
-
-impl LbPolicy for AdaptiveLambdaPolicy {
-    fn name(&self) -> &'static str {
-        "adaptive-lambda"
-    }
-
-    fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
-        self.inner.set_cost_weight(self.lambda);
-        self.inner.plan(own, metrics, net)
-    }
-
-    fn observe_stall(&mut self, stall_frac: f64) {
-        if !stall_frac.is_finite() || stall_frac < 0.0 {
-            return;
-        }
-        if stall_frac > self.target_stall_frac {
-            self.lambda = if self.lambda <= 0.0 {
-                1.0
-            } else {
-                (self.lambda * 2.0).min(Self::LAMBDA_MAX)
-            };
-        } else if stall_frac < self.target_stall_frac * 0.5 {
-            self.lambda *= 0.5;
-            if self.lambda < Self::LAMBDA_MIN {
-                self.lambda = 0.0;
-            }
-        }
-    }
-
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.lambda = lambda;
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.lambda
-    }
-
-    /// The ghost gate is orthogonal to the adapted λ: forward it to the
-    /// inner policy untouched.
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.inner.set_ghost_weight(mu);
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.inner.ghost_weight()
-    }
-
-    /// Ghost-stall feedback is the μ decorator's signal: forward it so an
-    /// inner adaptive-μ layer keeps learning through this decorator.
-    fn observe_ghost_stall(&mut self, ghost_frac: f64) {
-        self.inner.observe_ghost_stall(ghost_frac);
-    }
-
-    fn drift_info(&self) -> Option<crate::balance::repart::DriftInfo> {
-        self.inner.drift_info()
-    }
-}
-
-/// [`LbSpec::AdaptiveMu`]: closes the μ feedback loop. Doubles the inner
-/// policy's ghost weight when the measured ghost-stall fraction of the
-/// last window exceeded the target, halves it when it stayed under half
-/// the target (the dead band in between holds μ steady). The engaged
-/// weight starts at the bottom of the shaping band (≈ 0.05 with
-/// seconds-scaled busy times) so the first correction shapes plans
-/// instead of freezing them.
-pub struct AdaptiveMuPolicy {
-    inner: Box<dyn LbPolicy>,
-    target_ghost_frac: f64,
-    mu: f64,
-}
-
-impl AdaptiveMuPolicy {
-    /// μ is clamped so `CostParams` can never see a non-finite weight.
-    const MU_MAX: f64 = 1e9;
-    /// Below this, μ snaps to exactly 0 so the inner policy degenerates to
-    /// its ghost-blind behaviour instead of carrying float dust.
-    const MU_MIN: f64 = 1e-6;
-    /// The weight the first engagement starts from — the bottom of the
-    /// A9 shaping band.
-    const MU_ENGAGE: f64 = 0.05;
-}
-
-impl LbPolicy for AdaptiveMuPolicy {
-    fn name(&self) -> &'static str {
-        "adaptive-mu"
-    }
-
-    fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
-        self.inner.set_ghost_weight(self.mu);
-        self.inner.plan(own, metrics, net)
-    }
-
-    fn observe_ghost_stall(&mut self, ghost_frac: f64) {
-        if !ghost_frac.is_finite() || ghost_frac < 0.0 {
-            return;
-        }
-        if ghost_frac > self.target_ghost_frac {
-            self.mu = if self.mu <= 0.0 {
-                Self::MU_ENGAGE
-            } else {
-                (self.mu * 2.0).min(Self::MU_MAX)
-            };
-        } else if ghost_frac < self.target_ghost_frac * 0.5 {
-            self.mu *= 0.5;
-            if self.mu < Self::MU_MIN {
-                self.mu = 0.0;
-            }
-        }
-    }
-
-    /// The migration-stall signal belongs to an inner λ decorator (if
-    /// any): forward it untouched.
-    fn observe_stall(&mut self, stall_frac: f64) {
-        self.inner.observe_stall(stall_frac);
-    }
-
-    /// The cost gate is orthogonal to the adapted μ: forward it.
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.inner.set_cost_weight(lambda);
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.inner.cost_weight()
-    }
-
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.mu = mu;
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.mu
-    }
-
-    fn drift_info(&self) -> Option<crate::balance::repart::DriftInfo> {
-        self.inner.drift_info()
     }
 }
 
@@ -1265,10 +869,6 @@ mod tests {
             LbSpec::tree(1.0),
             LbSpec::diffusion(1.0, 8),
             LbSpec::greedy_steal(1),
-            LbSpec::adaptive(LbSpec::tree(0.5), 0.1),
-            LbSpec::adaptive(LbSpec::greedy_steal(1), 0.1),
-            LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.2),
-            LbSpec::adaptive_mu(LbSpec::diffusion(1.0, 8), 0.2),
             LbSpec::hierarchical(LbSpec::tree(0.0), 0.0),
             LbSpec::hierarchical(LbSpec::greedy_steal(1), 0.5).with_mu(0.25),
             // ∞ threshold: the decorator is transparent, so it satisfies
@@ -1432,54 +1032,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_lambda_tracks_stall_feedback() {
-        let mut policy = LbSpec::adaptive(LbSpec::tree(0.0), 0.1).build();
-        assert_eq!(policy.cost_weight(), 0.0, "starts from the inner λ");
-        policy.observe_stall(0.5); // stalled well above target: engage gate
-        assert_eq!(policy.cost_weight(), 1.0);
-        policy.observe_stall(0.5);
-        assert_eq!(policy.cost_weight(), 2.0, "doubles while stalling");
-        policy.observe_stall(0.07); // inside the dead band: hold
-        assert_eq!(policy.cost_weight(), 2.0);
-        policy.observe_stall(0.01); // below half target: relax
-        assert_eq!(policy.cost_weight(), 1.0);
-        for _ in 0..40 {
-            policy.observe_stall(0.0);
-        }
-        assert_eq!(policy.cost_weight(), 0.0, "λ decays to exactly 0");
-        // garbage feedback is ignored
-        policy.observe_stall(f64::NAN);
-        policy.observe_stall(-1.0);
-        assert_eq!(policy.cost_weight(), 0.0);
-    }
-
-    #[test]
-    fn adaptive_lambda_steers_its_inner_tree() {
-        // Same 8x1 two-rack fixture as the planner's gating test: with a
-        // raised λ the wrapped tree must stop crossing racks.
-        let sds = SdGrid::new(8, 1, 4);
-        let own = Ownership::new(sds, vec![0, 0, 1, 1, 1, 1, 2, 3], 4);
-        let busy = symmetric_busy(&own);
-        let net = two_rack_net(1000);
-        let mut policy = LbSpec::adaptive(LbSpec::tree(0.0), 0.05).build();
-        let free_plan = policy.plan(&own, &metrics_for(&own, &busy), &net);
-        assert!(
-            free_plan.comm.inter_rack_bytes() > 0,
-            "λ=0 must cross racks: {:?}",
-            free_plan.moves
-        );
-        policy.observe_stall(0.9); // λ -> 1: inter-rack cost >> relief
-        let gated = policy.plan(&own, &metrics_for(&own, &busy), &net);
-        assert_eq!(
-            gated.comm.inter_rack_bytes(),
-            0,
-            "raised λ must gate the uplink: {:?}",
-            gated.moves
-        );
-        assert!(!gated.is_noop(), "intra-rack settlement must survive");
-    }
-
-    #[test]
     fn schedule_builders() {
         let sched = LbSchedule::every(4).with_spec(LbSpec::greedy_steal(2));
         assert_eq!(sched.period, 4);
@@ -1497,7 +1049,7 @@ mod tests {
                 mu: 0.0
             }
         );
-        // with_mu reaches the variant's μ field, through decorators too
+        // with_mu reaches the variant's μ field
         assert_eq!(
             LbSpec::tree(1.0).with_mu(0.5),
             LbSpec::Tree {
@@ -1505,18 +1057,6 @@ mod tests {
                 mu: 0.5
             }
         );
-        match LbSpec::adaptive(LbSpec::greedy_steal(1), 0.1).with_mu(2.0) {
-            LbSpec::AdaptiveLambda { inner, .. } => {
-                assert_eq!(
-                    *inner,
-                    LbSpec::GreedySteal {
-                        threshold: 1,
-                        mu: 2.0
-                    }
-                );
-            }
-            other => panic!("decorator shape lost: {other:?}"),
-        }
     }
 
     #[test]
@@ -1524,12 +1064,6 @@ mod tests {
         assert_eq!(LbSpec::tree(0.0).name(), "tree");
         assert_eq!(LbSpec::diffusion(1.0, 4).name(), "diffusion");
         assert_eq!(LbSpec::greedy_steal(1).name(), "greedy-steal");
-        let spec = LbSpec::adaptive(LbSpec::diffusion(1.0, 4), 0.2);
-        assert_eq!(spec.name(), "adaptive-lambda");
-        assert_eq!(spec.build().name(), "adaptive-lambda");
-        let spec = LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.2);
-        assert_eq!(spec.name(), "adaptive-mu");
-        assert_eq!(spec.build().name(), "adaptive-mu");
         let spec = LbSpec::hierarchical(LbSpec::tree(0.0), 0.0);
         assert_eq!(spec.name(), "hierarchical");
         assert_eq!(spec.build().name(), "hierarchical");
@@ -1542,10 +1076,7 @@ mod tests {
     #[should_panic(expected = "Repartition cannot wrap another Repartition")]
     fn nested_repartition_is_rejected() {
         LbSpec::repartition(
-            LbSpec::adaptive_mu(
-                LbSpec::repartition(LbSpec::tree(0.0), 2.0, 1, u64::MAX),
-                0.2,
-            ),
+            LbSpec::repartition(LbSpec::tree(0.0), 2.0, 1, u64::MAX),
             2.0,
             1,
             u64::MAX,
@@ -1553,7 +1084,7 @@ mod tests {
     }
 
     #[test]
-    fn repartition_forwards_weights_and_drift_through_decorators() {
+    fn repartition_forwards_mu_and_reports_drift() {
         let spec = LbSpec::repartition(LbSpec::tree(0.5), 2.0, 1, u64::MAX).with_mu(0.25);
         match &spec {
             LbSpec::Repartition { inner, .. } => {
@@ -1567,17 +1098,7 @@ mod tests {
             }
             other => panic!("shape lost: {other:?}"),
         }
-        let policy = spec.build();
-        assert_eq!(policy.cost_weight(), 0.5);
-        assert_eq!(policy.ghost_weight(), 0.25);
-        assert!(policy.drift_info().is_some(), "monitor must report");
-        // an adaptive decorator over Repartition surfaces the drift info
-        let wrapped = LbSpec::adaptive(
-            LbSpec::repartition(LbSpec::tree(0.0), 2.0, 1, u64::MAX),
-            0.1,
-        )
-        .build();
-        assert!(wrapped.drift_info().is_some());
+        assert!(spec.build().drift_info().is_some(), "monitor must report");
         // …and plain policies report none
         assert!(LbSpec::tree(0.0).build().drift_info().is_none());
     }
@@ -1599,122 +1120,21 @@ mod tests {
             }
             other => panic!("shape lost: {other:?}"),
         }
-        let policy = spec.build();
-        assert_eq!(policy.cost_weight(), 2.0);
-        assert_eq!(policy.ghost_weight(), 0.5);
     }
 
     #[test]
     #[should_panic(expected = "requires a leaf policy")]
     fn hierarchical_rejects_decorator_inner() {
-        let _ = LbSpec::hierarchical(LbSpec::adaptive(LbSpec::tree(0.0), 0.1), 0.0);
+        let _ = LbSpec::hierarchical(
+            LbSpec::repartition(LbSpec::tree(0.0), 2.0, 1, u64::MAX),
+            0.0,
+        );
     }
 
     #[test]
     #[should_panic(expected = "requires a leaf policy")]
     fn hierarchical_rejects_nested_hierarchy() {
         let _ = LbSpec::hierarchical(LbSpec::hierarchical(LbSpec::tree(0.0), 0.0), 0.0);
-    }
-
-    #[test]
-    fn adaptive_decorator_can_wrap_hierarchical() {
-        // the decorators adapt λ/μ through set_*_weight, which the
-        // hierarchical policy forwards — wrapping it IS allowed
-        let spec = LbSpec::adaptive(LbSpec::hierarchical(LbSpec::tree(0.0), 0.0), 0.1);
-        spec.validate();
-        let mut policy = spec.build();
-        policy.observe_stall(0.9);
-        assert_eq!(policy.cost_weight(), 1.0, "outer λ engaged");
-    }
-
-    #[test]
-    fn adaptive_mu_tracks_ghost_stall_feedback() {
-        let mut policy = LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.2).build();
-        assert_eq!(policy.ghost_weight(), 0.0, "starts from the inner μ");
-        policy.observe_ghost_stall(0.5); // well above target: engage gate
-        assert_eq!(policy.ghost_weight(), 0.05, "engages at the shaping band");
-        policy.observe_ghost_stall(0.5);
-        assert_eq!(policy.ghost_weight(), 0.1, "doubles while stalling");
-        policy.observe_ghost_stall(0.15); // inside the dead band: hold
-        assert_eq!(policy.ghost_weight(), 0.1);
-        policy.observe_ghost_stall(0.05); // below half target: relax
-        assert_eq!(policy.ghost_weight(), 0.05);
-        for _ in 0..40 {
-            policy.observe_ghost_stall(0.0);
-        }
-        assert_eq!(policy.ghost_weight(), 0.0, "μ decays to exactly 0");
-        // garbage feedback is ignored
-        policy.observe_ghost_stall(f64::NAN);
-        policy.observe_ghost_stall(-1.0);
-        assert_eq!(policy.ghost_weight(), 0.0);
-    }
-
-    #[test]
-    fn adaptive_mu_steers_its_inner_tree() {
-        // The huge-μ gating fixture, but with μ learned from feedback
-        // instead of configured: after enough ghost-stalled windows the
-        // decorator's μ must gate the cut-worsening plan.
-        let sds = SdGrid::new(6, 6, 4);
-        let owners: Vec<u32> = (0..36).map(|sd| u32::from(sds.coords(sd).0 >= 3)).collect();
-        let own = Ownership::new(sds, owners, 2);
-        let busy = vec![9.0, 1.0];
-        let graph = std::sync::Arc::new(nlheat_partition::SdGraph::build(&sds, 1));
-        let net = LbNetwork::from_spec(&NetSpec::cluster(), 1000).with_sd_graph(graph);
-        let mut policy = LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.05).build();
-        assert!(
-            !policy.plan(&own, &metrics_for(&own, &busy), &net).is_noop(),
-            "μ=0 must balance the skew"
-        );
-        for _ in 0..60 {
-            policy.observe_ghost_stall(1.0); // every window fully stalled
-        }
-        assert!(
-            policy.plan(&own, &metrics_for(&own, &busy), &net).is_noop(),
-            "learned μ={} must refuse cut-worsening moves",
-            policy.ghost_weight()
-        );
-    }
-
-    #[test]
-    fn adaptive_decorators_compose_both_ways() {
-        // λ(μ(tree)) and μ(λ(tree)) both validate, build, and route each
-        // feedback signal to its owning layer.
-        let both = LbSpec::adaptive(LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.2), 0.1);
-        both.validate();
-        let mut policy = both.build();
-        policy.observe_stall(0.9);
-        policy.observe_ghost_stall(0.9);
-        assert_eq!(policy.cost_weight(), 1.0, "outer λ engaged");
-        assert_eq!(policy.ghost_weight(), 0.05, "inner μ engaged through λ");
-        let other = LbSpec::adaptive_mu(LbSpec::adaptive(LbSpec::tree(0.0), 0.1), 0.2);
-        other.validate();
-        let mut policy = other.build();
-        policy.observe_stall(0.9);
-        policy.observe_ghost_stall(0.9);
-        assert_eq!(policy.cost_weight(), 1.0, "inner λ engaged through μ");
-        assert_eq!(policy.ghost_weight(), 0.05, "outer μ engaged");
-    }
-
-    #[test]
-    #[should_panic(expected = "AdaptiveMu cannot wrap another AdaptiveMu")]
-    fn nested_adaptive_mu_rejected() {
-        let _ = LbSpec::adaptive_mu(LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.1), 0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "AdaptiveLambda cannot wrap another AdaptiveLambda")]
-    fn nested_adaptive_lambda_through_mu_rejected() {
-        // the inert nesting must be caught through an interposed μ layer
-        let _ = LbSpec::adaptive(
-            LbSpec::adaptive_mu(LbSpec::adaptive(LbSpec::tree(0.0), 0.1), 0.2),
-            0.1,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "target_ghost_frac must be in (0, 1)")]
-    fn adaptive_mu_rejects_bad_target() {
-        let _ = LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.0);
     }
 
     #[test]
@@ -1739,19 +1159,6 @@ mod tests {
     #[should_panic(expected = "threshold must be at least 1")]
     fn greedy_rejects_zero_threshold() {
         let _ = LbSpec::greedy_steal(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "target_stall_frac must be in (0, 1)")]
-    fn adaptive_rejects_bad_target() {
-        let _ = LbSpec::adaptive(LbSpec::tree(0.0), 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot wrap another AdaptiveLambda")]
-    fn nested_adaptive_rejected() {
-        // would be silently inert (outer λ clobbers inner every epoch)
-        let _ = LbSpec::adaptive(LbSpec::adaptive(LbSpec::tree(0.0), 0.1), 0.1);
     }
 
     #[test]
@@ -1800,41 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn ghost_weight_hooks_round_trip_and_steer_plans() {
-        // The μ feedback seam (the future AdaptiveMu decorator's handle):
-        // every concrete policy round-trips set_ghost_weight, the
-        // decorator forwards to its inner policy, and a raised μ actually
-        // changes planning — the same gate as the spec-level field.
-        for spec in [
-            LbSpec::tree(0.0),
-            LbSpec::diffusion(1.0, 8),
-            LbSpec::greedy_steal(1),
-            LbSpec::adaptive(LbSpec::tree(0.0), 0.1),
-            LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.1),
-        ] {
-            let mut policy = spec.with_mu(0.75).build();
-            assert_eq!(policy.ghost_weight(), 0.75, "{}: spec μ", policy.name());
-            policy.set_ghost_weight(2.5);
-            assert_eq!(policy.ghost_weight(), 2.5, "{}: round trip", policy.name());
-        }
-        // steering: the huge_mu fixture, but with μ injected through the
-        // hook after build instead of the spec
-        let sds = SdGrid::new(6, 6, 4);
-        let owners: Vec<u32> = (0..36).map(|sd| u32::from(sds.coords(sd).0 >= 3)).collect();
-        let own = Ownership::new(sds, owners, 2);
-        let busy = vec![9.0, 1.0];
-        let graph = std::sync::Arc::new(nlheat_partition::SdGraph::build(&sds, 1));
-        let net = LbNetwork::from_spec(&NetSpec::cluster(), 1000).with_sd_graph(graph);
-        let mut policy = LbSpec::tree(0.0).build();
-        assert!(!policy.plan(&own, &metrics_for(&own, &busy), &net).is_noop());
-        policy.set_ghost_weight(1e12);
-        assert!(
-            policy.plan(&own, &metrics_for(&own, &busy), &net).is_noop(),
-            "hook-injected μ must gate like the spec field"
-        );
-    }
-
-    #[test]
     fn neighbour_graph_projects_real_adjacency_when_ghost_active() {
         // 8x1 row over 4 nodes in 2 racks: territory adjacency is the
         // chain 0-1-2-3. Ghost-active policies see exactly that chain
@@ -1868,20 +1240,6 @@ mod tests {
         assert_eq!(net.sd_bytes, SdBytes::Uniform(25 * 25 * 8 + 24));
         assert_eq!(net.sd_bytes.get(0), 25 * 25 * 8 + 24);
         assert!(!net.comm.is_free());
-    }
-
-    #[test]
-    #[should_panic(expected = "lambda must be finite")]
-    fn adaptive_validates_its_inner_spec() {
-        // constructed via the struct literal so only validate() can catch it
-        let spec = LbSpec::AdaptiveLambda {
-            inner: Box::new(LbSpec::Tree {
-                lambda: f64::NAN,
-                mu: 0.0,
-            }),
-            target_stall_frac: 0.1,
-        };
-        spec.validate();
     }
 
     #[test]

@@ -306,30 +306,6 @@ impl LbPolicy for RepartitionPolicy {
     fn drift_info(&self) -> Option<DriftInfo> {
         Some(self.last)
     }
-
-    fn observe_stall(&mut self, stall_frac: f64) {
-        self.inner.observe_stall(stall_frac);
-    }
-
-    fn observe_ghost_stall(&mut self, ghost_frac: f64) {
-        self.inner.observe_ghost_stall(ghost_frac);
-    }
-
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.inner.set_cost_weight(lambda);
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.inner.cost_weight()
-    }
-
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.inner.set_ghost_weight(mu);
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.inner.ghost_weight()
-    }
 }
 
 #[cfg(test)]

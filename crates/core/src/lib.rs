@@ -13,7 +13,7 @@
 //!   data-dependency tree with topological ordering (Fig. 7), and
 //!   contiguity-preserving uniform SD borrowing (Fig. 6) — one strategy
 //!   behind the pluggable `LbPolicy`/`LbSpec` layer that also ships
-//!   diffusion, greedy-steal and adaptive-λ policies.
+//!   diffusion, greedy-steal, hierarchical and repartitioning policies.
 //! * [`ownership`] — the SD→node ownership map shared by all of the above.
 //! * [`workload`] — heterogeneity models (per-node speed, per-SD work
 //!   factors such as the crack scenario of §7).

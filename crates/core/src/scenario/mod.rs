@@ -29,7 +29,7 @@ pub mod sweep;
 
 pub use plan::{PlanExtras, PlanSubstrate};
 
-use crate::balance::{EpochSetup, EpochTrace, LbSchedule, Move};
+use crate::balance::{EpochSetup, EpochTrace, LbSchedule, LbSpec, Move};
 use crate::dist::{run_distributed, DistConfig, DistReport};
 use crate::ownership::Ownership;
 use crate::workload::WorkModel;
@@ -331,15 +331,15 @@ impl PartitionSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LbInput {
     /// Measured busy times — wall-clock counters on the real runtime,
-    /// virtual-time windows in the simulator — plus the substrate's
-    /// stall/ghost-stall feedback to adaptive policies. The paper's mode.
+    /// virtual-time windows in the simulator. Busy time is the only
+    /// signal the balancer measures. The paper's mode.
     #[default]
     Measured,
     /// Deterministic busy times derived from the declared [`WorkModel`]
-    /// and speed factors ([`modeled_busy`]), with runtime feedback
-    /// disabled. Both substrates then see byte-identical planner inputs,
-    /// so one scenario yields *identical* migration-plan sequences on the
-    /// simulator and the real runtime — the cross-substrate parity mode.
+    /// and speed factors ([`modeled_busy`]), never measured. Both
+    /// substrates then see byte-identical planner inputs, so one scenario
+    /// yields *identical* migration-plan sequences on the simulator and
+    /// the real runtime — the cross-substrate parity mode.
     Modeled,
 }
 
@@ -415,9 +415,8 @@ pub struct Scenario {
     pub work_schedule: Vec<(usize, WorkModel)>,
     /// Elastic cluster-membership timeline: `(from_step, event)` entries
     /// sorted by step, applied by both substrates ([`active_at`]). Events
-    /// require an [`LbSpec::Repartition`](crate::balance::LbSpec::Repartition)
-    /// policy in the LB chain — only the replanner evacuates drained and
-    /// failed ranks or spreads load onto joiners.
+    /// require an [`LbSpec::Repartition`] policy — only the replanner
+    /// evacuates drained and failed ranks or spreads load onto joiners.
     pub cluster_events: Vec<(usize, ClusterEvent)>,
     /// Case-1/case-2 overlap (§6.3); `false` waits for all ghosts before
     /// computing anything (ablation A2).
@@ -636,9 +635,9 @@ impl Scenario {
             assert!(
                 self.lb
                     .as_ref()
-                    .is_some_and(|lb| lb.spec.chain_has_repartition()),
-                "cluster events require an LbSpec::Repartition policy in the \
-                 LB chain (only the replanner evacuates drained/failed ranks \
+                    .is_some_and(|lb| matches!(lb.spec, LbSpec::Repartition { .. })),
+                "cluster events require an LbSpec::Repartition policy \
+                 (only the replanner evacuates drained/failed ranks \
                  and spreads load onto joiners)"
             );
             let n = self.cluster.len();

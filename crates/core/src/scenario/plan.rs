@@ -64,9 +64,6 @@ impl Substrate for PlanSubstrate {
             step,
             ownership: &ownership,
             busy: &[],
-            ghost_stall: 0.0,
-            migration_stall: 0.0,
-            barrier: 0.0,
             work: scenario.work_at(step),
         });
         let records = epochs.finish();

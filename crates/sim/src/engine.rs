@@ -192,10 +192,10 @@ impl Ord for Ordered {
 }
 
 /// The run's balancer, mirroring `core::dist`'s wiring: one controller
-/// lives across epochs (stateful policies learn from the simulated
-/// stalls), pricing μ against the SD graph of the very halo patches whose
-/// messages the event loop charges. Only planners read the graph and the
-/// footprints derived from it, so a run without a balancer builds neither.
+/// lives across epochs, pricing μ against the SD graph of the very halo
+/// patches whose messages the event loop charges. Only planners read the
+/// graph and the footprints derived from it, so a run without a balancer
+/// builds neither.
 fn epoch_controller(sc: &Scenario) -> Option<EpochController> {
     let lb = sc.lb.as_ref()?;
     Some(EpochController::new(lb, sc.epoch_setup(sc.lb_input)))
@@ -226,16 +226,10 @@ pub(crate) fn simulate(sc: &Scenario) -> RunReport {
     let mut messages = 0u64;
     let mut ghost_bytes = 0u64;
     let mut inter_rack_ghost_bytes = 0u64;
-    // Worst ghost-arrival delay per node per step, accumulated per
-    // balancing window — the adaptive-μ feedback signal (virtual-time
-    // analogue of the real driver's wall-clock measurement).
-    let mut ghost_wait_window = vec![0.0f64; nn];
     // Link classes for the virtual-time ghost accounting: the very
     // CommCost the planner prices moves with, so counter and μ term can
     // never disagree on what crosses a rack.
     let comm = sc.net.comm_cost();
-    // Virtual seconds the previous epoch's migrations stalled the cluster.
-    let mut migration_stall = 0.0f64;
     let max_cores = nodes.iter().map(|n| n.cores).max().unwrap_or(1);
     let mut scratch = StepScratch::new(geo.sds.count(), max_cores);
     let mut view = OwnershipView::build(&geo, &ownership, nn, &comm);
@@ -291,7 +285,6 @@ pub(crate) fn simulate(sc: &Scenario) -> RunReport {
             let t0 = node_time[node] + serial;
 
             scratch.tasks.clear();
-            let mut step_ghost_delay = 0.0f64;
             for &sd in owned {
                 let factor = work.factor(&geo.sds, sd);
                 let (case1_area, case2_area) = view.splits[sd as usize];
@@ -300,9 +293,7 @@ pub(crate) fn simulate(sc: &Scenario) -> RunReport {
                     t0
                 } else {
                     let unpack = cost.copy_sec_per_cell * view.ghost_cells[sd as usize];
-                    let ready = t0.max(latest) + unpack;
-                    step_ghost_delay = step_ghost_delay.max(ready - t0);
-                    ready
+                    t0.max(latest) + unpack
                 };
                 if sc.overlap {
                     if case2_area > 0 {
@@ -327,7 +318,6 @@ pub(crate) fn simulate(sc: &Scenario) -> RunReport {
             node_time[node] = finish;
             busy_total[node] += busy;
             busy_window[node] += busy;
-            ghost_wait_window[node] += step_ghost_delay;
         }
 
         // --- load-balancing epoch (the configured LbSpec policy) ---
@@ -339,9 +329,6 @@ pub(crate) fn simulate(sc: &Scenario) -> RunReport {
                 step,
                 ownership: &ownership,
                 busy: &busy_window,
-                ghost_stall: ghost_wait_window.iter().cloned().fold(0.0, f64::max),
-                migration_stall,
-                barrier,
                 work: sc.work_at(step),
             });
             // An empty plan pays the planning barrier and nothing else.
@@ -366,10 +353,8 @@ pub(crate) fn simulate(sc: &Scenario) -> RunReport {
                 ownership = plan.new_ownership;
                 view = OwnershipView::build(&geo, &ownership, nn, &comm);
             }
-            migration_stall = node_time.iter().cloned().fold(0.0, f64::max) - barrier;
-            // Algorithm 1 line 35: reset the busy and ghost-stall windows
+            // Algorithm 1 line 35: reset the busy window
             busy_window.fill(0.0);
-            ghost_wait_window.fill(0.0);
         }
     }
 
@@ -699,11 +684,7 @@ mod tests {
         // The policy seam end to end in the simulator: both alternative
         // policies must migrate work toward the 2x-fast node, like the
         // tree planner does in `lb_balances_heterogeneous_nodes`.
-        for spec in [
-            LbSpec::diffusion(1.0, 8),
-            LbSpec::greedy_steal(1),
-            LbSpec::adaptive(LbSpec::tree(0.0), 0.2),
-        ] {
+        for spec in [LbSpec::diffusion(1.0, 8), LbSpec::greedy_steal(1)] {
             let sc =
                 paper(400, 25, 24, het4()).with_lb(LbSchedule::every(4).with_spec(spec.clone()));
             let run = simulate(&sc);

@@ -273,8 +273,6 @@ fn every_lb_spec_runs_both_substrates_on_two_racks() {
         LbSpec::tree(1.0),
         LbSpec::diffusion(1.0, 8),
         LbSpec::greedy_steal(1),
-        LbSpec::adaptive(LbSpec::tree(0.0), 0.1),
-        LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.2),
     ];
     for spec in specs {
         // simulator leg (paper horizon eps = 8h, so the 2-rack duel runs

@@ -321,8 +321,8 @@ proptest! {
             1 => LbSpec::tree(1.5),
             2 => LbSpec::diffusion(1.0, 6),
             3 => LbSpec::greedy_steal(1),
-            4 => LbSpec::adaptive(LbSpec::greedy_steal(1), 0.1),
-            5 => LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.2),
+            4 => LbSpec::repartition(LbSpec::greedy_steal(1), f64::INFINITY, 1, u64::MAX),
+            5 => LbSpec::repartition(LbSpec::tree(0.0), f64::INFINITY, 1, u64::MAX),
             6 => LbSpec::hierarchical(LbSpec::tree(0.0), 0.0),
             _ => LbSpec::hierarchical(LbSpec::greedy_steal(1), 1.5),
         }
@@ -397,8 +397,8 @@ proptest! {
             1 => LbSpec::tree(1.5),
             2 => LbSpec::diffusion(1.0, 6),
             3 => LbSpec::greedy_steal(1),
-            4 => LbSpec::adaptive(LbSpec::tree(0.5), 0.1),
-            5 => LbSpec::adaptive_mu(LbSpec::tree(0.5), 0.2),
+            4 => LbSpec::repartition(LbSpec::tree(0.5), f64::INFINITY, 1, u64::MAX),
+            5 => LbSpec::repartition(LbSpec::diffusion(1.0, 6), f64::INFINITY, 1, u64::MAX),
             6 => LbSpec::hierarchical(LbSpec::tree(0.0), 0.0),
             _ => LbSpec::hierarchical(LbSpec::tree(0.5), 1.5),
         };
@@ -448,6 +448,62 @@ proptest! {
         prop_assert_eq!(&flat.new_ownership, &hier.new_ownership);
         prop_assert_eq!(flat.comm, hier.comm);
     }
+}
+
+// The hierarchy hands its own λ to the leaf it delegates to. On a single
+// rack whose links are slow enough that shipping one tile costs about as
+// much as the per-SD relief of these busy times, the λ gate bites: a
+// hierarchy over a λ = 0 tree must plan exactly like the tree at the
+// hierarchy's λ, and not like the λ = 0 tree it wraps. Diffusion and
+// greedy-steal have no λ of their own, so under a hierarchy they must
+// plan unlike themselves.
+#[test]
+fn hierarchical_hands_its_lambda_to_the_leaf() {
+    let grid = SdGrid::new(6, 6, 4);
+    // 152-byte tiles at 2 kB/s: about 0.15 s per move
+    let net = LbNetwork::new(
+        CommCost::from_spec(&NetSpec::shared(1e-4, 2e3)),
+        4 * 4 * 8 + 24,
+    );
+    let lambda = 1.0;
+    let mut leaves_gated = [false; 2];
+    for seed in 0..16u64 {
+        let own = Ownership::new(
+            grid,
+            scrambled_owners(grid.count(), 4, seed * 0x9e37_79b9),
+            4,
+        );
+        // per-SD relief from 0.05 s to 0.35 s across the nodes
+        let busy: Vec<f64> = own
+            .counts()
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| c as f64 * (0.05 + 0.1 * ((i as u64 + seed) % 4) as f64))
+            .collect();
+        let metrics = compute_metrics(&own.counts(), &busy);
+        let plan = |spec: LbSpec| spec.build().plan(&own, &metrics, &net);
+        let hier = plan(LbSpec::hierarchical(LbSpec::tree(0.0), lambda));
+        let flat = plan(LbSpec::tree(lambda));
+        assert_eq!(hier.moves, flat.moves, "seed {seed}");
+        assert_eq!(hier.new_ownership, flat.new_ownership, "seed {seed}");
+        assert!(!hier.moves.is_empty(), "seed {seed}: gated everything");
+        assert_ne!(
+            hier.moves,
+            plan(LbSpec::tree(0.0)).moves,
+            "seed {seed}: λ ignored"
+        );
+        for (i, leaf) in [LbSpec::diffusion(1.0, 6), LbSpec::greedy_steal(1)]
+            .into_iter()
+            .enumerate()
+        {
+            let under = plan(LbSpec::hierarchical(leaf.clone(), lambda));
+            leaves_gated[i] |= under.moves != plan(leaf).moves;
+        }
+    }
+    assert_eq!(
+        leaves_gated, [true; 2],
+        "diffusion, greedy-steal: λ ignored"
+    );
 }
 
 // The memory capacity gate, under adversarial inputs: random ownerships,

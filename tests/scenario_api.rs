@@ -31,8 +31,6 @@ fn cross_substrate_parity_for_every_lb_spec() {
         LbSpec::tree(1.5),
         LbSpec::diffusion(1.0, 8),
         LbSpec::greedy_steal(1),
-        LbSpec::adaptive(LbSpec::tree(0.0), 0.1),
-        LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.2),
     ];
     for spec in specs {
         let scenario = parity_scenario(spec.clone());

@@ -8,12 +8,11 @@
 //! plans. A refactor of the event loop, its geometry or its ownership view
 //! must leave all of them unchanged.
 //!
-//! Three more cases plan from measured busy times with the adaptive-λ and
-//! adaptive-μ decorators (alone and composed), so the migration-stall and
-//! ghost-stall feedback the balancer feeds them is pinned too: reordering
-//! those calls changes the plans. Two last cases cover branches no library
-//! scenario reaches: the hotpath bench's balanced 256-SD run, and a run
-//! with case-1/case-2 overlap off.
+//! Two more cases plan from measured busy times (the tree, ghost-blind and
+//! at μ = 0.01) on a lopsided two-rack start under a jumping crack, so the
+//! virtual-time busy windows the balancer reads are pinned too. Two last
+//! cases cover branches no library scenario reaches: the hotpath bench's
+//! balanced 256-SD run, and a run with case-1/case-2 overlap off.
 
 use nonlocalheat::core::scenarios::{lopsided_owners, two_rack_net};
 use nonlocalheat::netmodel::NetSpec;
@@ -88,8 +87,8 @@ fn multi_ring_lb() -> Scenario {
 
 /// A lopsided start on a heterogeneous two-rack cluster under a crack
 /// that jumps twice, planned from measured busy times by `spec`: the
-/// balancer keeps moving SDs, so the stall feedback keeps moving λ and μ.
-fn adaptive_two_rack(spec: LbSpec) -> Scenario {
+/// balancer keeps moving SDs as the busy windows shift.
+fn measured_two_rack(spec: LbSpec) -> Scenario {
     let base = Scenario::square(48, 4.0, 8, 24);
     let sds = base.sd_grid();
     let crack = |y_cell| WorkModel::Crack {
@@ -103,30 +102,6 @@ fn adaptive_two_rack(spec: LbSpec) -> Scenario {
         .with_work_schedule(vec![(8, crack(8)), (16, crack(36))])
         .with_lb(LbSchedule::every(2).with_spec(spec))
         .with_lb_input(LbInput::Measured)
-}
-
-/// The adaptive cases: each decorator alone and the two composed, paired
-/// with the inner policy they wrap.
-fn adaptive_specs() -> Vec<(&'static str, LbSpec, LbSpec)> {
-    let mu = 0.01;
-    let tree = LbSpec::tree(0.0);
-    vec![
-        (
-            "adaptive-lambda",
-            LbSpec::adaptive(tree.clone(), 0.05),
-            tree.clone(),
-        ),
-        (
-            "adaptive-mu",
-            LbSpec::adaptive_mu(tree.clone().with_mu(mu), 0.05),
-            tree.clone().with_mu(mu),
-        ),
-        (
-            "adaptive-lambda-mu",
-            LbSpec::adaptive(LbSpec::adaptive_mu(tree.clone().with_mu(mu), 0.05), 0.05),
-            tree.with_mu(mu),
-        ),
-    ]
 }
 
 /// The hotpath bench's `event_core/sim_lb_256sd_4n_12st` run: 256 SDs on
@@ -148,9 +123,11 @@ fn no_overlap() -> Scenario {
 fn runs() -> Vec<(&'static str, RunReport)> {
     let mut scs = scenarios::all(true);
     scs.push(("multi-ring-lb", multi_ring_lb()));
-    for (name, spec, _) in adaptive_specs() {
-        scs.push((name, adaptive_two_rack(spec)));
-    }
+    scs.push(("measured-two-rack", measured_two_rack(LbSpec::tree(0.0))));
+    scs.push((
+        "measured-two-rack-mu",
+        measured_two_rack(LbSpec::tree(0.0).with_mu(0.01)),
+    ));
     scs.push(("hotpath-lb", hotpath_lb()));
     scs.push(("no-overlap", no_overlap()));
     scs.into_iter()
@@ -159,9 +136,9 @@ fn runs() -> Vec<(&'static str, RunReport)> {
 }
 
 /// Recorded from the simulator before its geometry and ownership view
-/// stopped keeping one halo plan per SD; the adaptive cases were recorded
-/// before the balancing epoch moved into one shared controller, and the
-/// last two before the simulator took a `Scenario` directly.
+/// stopped keeping one halo plan per SD; the last two before the simulator
+/// took a `Scenario` directly, and the measured two-rack cases before the
+/// balancer stopped measuring anything but busy time.
 fn pinned() -> Vec<(&'static str, Pinned)> {
     vec![
         (
@@ -315,48 +292,33 @@ fn pinned() -> Vec<(&'static str, Pinned)> {
             },
         ),
         (
-            "adaptive-lambda",
+            "measured-two-rack",
             Pinned {
-                total_time: 4580054314147198851,
-                busy: 14200943169830705330,
-                busy_fraction: 52461320772178450,
-                cross_bytes: 385000,
-                ghost_bytes: 370528,
-                inter_rack_ghost_bytes: 234848,
-                messages: 1791,
-                migrations: 27,
-                migration_bytes: 14472,
-                lb_plans: 9837056637663207381,
+                total_time: 4580852055123881454,
+                busy: 10625126069694599943,
+                busy_fraction: 8606266594317716935,
+                cross_bytes: 350864,
+                ghost_bytes: 328352,
+                inter_rack_ghost_bytes: 198784,
+                messages: 1606,
+                migrations: 42,
+                migration_bytes: 22512,
+                lb_plans: 16577627649375811442,
             },
         ),
         (
-            "adaptive-mu",
+            "measured-two-rack-mu",
             Pinned {
-                total_time: 4578323446927390643,
-                busy: 8142406652504957979,
-                busy_fraction: 13210962369008767546,
-                cross_bytes: 227256,
-                ghost_bytes: 218144,
-                inter_rack_ghost_bytes: 68352,
-                messages: 1021,
-                migrations: 17,
-                migration_bytes: 9112,
-                lb_plans: 8165124673937969922,
-            },
-        ),
-        (
-            "adaptive-lambda-mu",
-            Pinned {
-                total_time: 4578215432017467033,
-                busy: 10466016075744433343,
-                busy_fraction: 15446023995533478327,
-                cross_bytes: 195688,
-                ghost_bytes: 191936,
-                inter_rack_ghost_bytes: 68352,
-                messages: 879,
-                migrations: 7,
-                migration_bytes: 3752,
-                lb_plans: 901131323502889997,
+                total_time: 4581174158333838517,
+                busy: 12683894343254048730,
+                busy_fraction: 3066929568407054805,
+                cross_bytes: 329968,
+                ghost_bytes: 286016,
+                inter_rack_ghost_bytes: 171584,
+                messages: 1418,
+                migrations: 82,
+                migration_bytes: 43952,
+                lb_plans: 13707294539572467510,
             },
         ),
         (
@@ -390,18 +352,6 @@ fn pinned() -> Vec<(&'static str, Pinned)> {
             },
         ),
     ]
-}
-
-#[test]
-fn adaptive_cases_move_their_weights() {
-    // Guards the pinned adaptive cases against going inert: if the
-    // feedback never moved λ or μ, each run would plan exactly like the
-    // policy it wraps and the pins would not cover the feedback order.
-    for (name, spec, inner) in adaptive_specs() {
-        let adaptive = adaptive_two_rack(spec).run_sim();
-        let plain = adaptive_two_rack(inner).run_sim();
-        assert_ne!(adaptive.lb_plans, plain.lb_plans, "{name}");
-    }
 }
 
 #[test]
