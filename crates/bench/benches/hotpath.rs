@@ -339,24 +339,6 @@ fn plan_bench(c: &mut Criterion) {
     g.finish();
 }
 
-fn dist_straggler_bench(c: &mut Criterion) {
-    init();
-    // One straggler SD on a single 4-core locality: SD 0 costs 8x its
-    // peers, so without intra-step stealing three workers idle at the step
-    // barrier while one grinds the hot SD. The snapshot seed was captured
-    // with stealing off on the mutex-shim deque; the current entry runs
-    // with stealing on, so the band also guards the chunked task path.
-    let mut work = vec![1.0f64; 16];
-    work[0] = 8.0;
-    let sc = Scenario::square(64, 4.0, 16, 4)
-        .on(ClusterSpec::uniform(1, 4))
-        .with_work(nlheat_core::WorkModel::PerSd(work))
-        .with_intra_step_stealing(true);
-    let mut g = c.benchmark_group("dist");
-    g.bench_function("step_straggler", |b| b.iter(|| black_box(sc.run_dist())));
-    g.finish();
-}
-
 criterion_group!(
     benches,
     event_core_bench,
@@ -366,7 +348,6 @@ criterion_group!(
     e2e_bench,
     sweep_bench,
     pool_bench,
-    plan_bench,
-    dist_straggler_bench
+    plan_bench
 );
 criterion_main!(benches);

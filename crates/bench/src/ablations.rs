@@ -7,8 +7,8 @@ use nlheat_core::balance::{LbSchedule, LbSpec};
 use nlheat_core::scenario::sweep::{Axis, ScenarioSweep};
 use nlheat_core::scenario::{ClusterSpec, PartitionSpec, PlanSubstrate, RunReport, Scenario};
 use nlheat_core::scenarios::{
-    cut_drift, elastic_scale_out, heterogeneous_cluster, lopsided_owners, memory_pressure,
-    plan_scale, propagating_crack, rank_failure, two_rack_net,
+    cut_drift, elastic_scale_out, lopsided_owners, memory_pressure, plan_scale, rank_failure,
+    two_rack_net,
 };
 use nlheat_core::workload::WorkModel;
 use nlheat_mesh::{Grid, SdGrid};
@@ -568,73 +568,6 @@ pub fn a10b_plan_time_scaling(quick: bool) -> FigData {
     fig
 }
 
-/// **A11** — intra-epoch work stealing vs epoch-level migration: the
-/// Chase–Lev row-band stealing path dueled and composed with the LB
-/// policies on the real runtime (the simulator has no notion of
-/// intra-step scheduling). Four legs per scenario — neither, LB only,
-/// stealing only, both — on multi-core re-clusterings of the crack and
-/// heterogeneous-cluster scenarios (the library versions pin one core
-/// per node, where a band task has no one to steal it).
-///
-/// Stealing is a pure scheduling change, so every leg's field is
-/// asserted bit-identical to the baseline leg's, and the stealing legs
-/// must actually exercise the scheduler (nonzero pool steals).
-pub fn a11_intra_step_stealing(quick: bool) -> FigData {
-    let mut fig = FigData::new(
-        "A11 — intra-step stealing vs epoch LB (real runtime, multi-core nodes)",
-        "leg (0 = neither, 1 = LB, 2 = stealing, 3 = both)",
-        "makespan (ms)",
-    );
-    let cases: Vec<(&str, Scenario)> = vec![
-        (
-            "crack",
-            propagating_crack(quick).on(ClusterSpec::uniform(4, 4)),
-        ),
-        (
-            "hetero",
-            heterogeneous_cluster(quick).on(ClusterSpec::new()
-                .node(4, 2.0)
-                .node(4, 1.0)
-                .node(4, 1.0)
-                .node(4, 0.5)),
-        ),
-    ];
-    for (name, base) in cases {
-        let mut series = Series::new(name);
-        let mut base_field: Option<Vec<f64>> = None;
-        for (leg, (lb_on, steal_on)) in [(false, false), (true, false), (false, true), (true, true)]
-            .into_iter()
-            .enumerate()
-        {
-            let mut sc = base.clone().with_intra_step_stealing(steal_on);
-            if !lb_on {
-                sc.lb = None;
-            }
-            let report = sc.run_dist();
-            let field = report.field.as_ref().expect("dist runs carry the field");
-            match &base_field {
-                None => base_field = Some(field.clone()),
-                Some(reference) => assert_eq!(
-                    reference, field,
-                    "{name} leg {leg}: scheduling must not perturb the field"
-                ),
-            }
-            if steal_on {
-                let steals: u64 = report
-                    .dist_extras()
-                    .expect("real-runtime extras")
-                    .pool_steals
-                    .iter()
-                    .sum();
-                assert!(steals > 0, "{name} leg {leg}: no steals observed");
-            }
-            series.push(leg as f64, report.makespan * 1e3);
-        }
-        fig.series.push(series);
-    }
-    fig
-}
-
 /// The A12 roster: the incremental policies, the repartitioner alone, and
 /// the composed decorator, in the fixed x-axis order of the figure.
 /// "repart-only" wraps a tree whose λ gates every incremental move, so
@@ -1076,16 +1009,5 @@ mod tests {
         assert_eq!(elastic[1].1, 0.0, "sim failed-rank SDs: {elastic:?}");
         assert!(elastic[2].1 > 0.0, "real joined-rank SDs: {elastic:?}");
         assert!(elastic[3].1 > 0.0, "sim joined-rank SDs: {elastic:?}");
-    }
-
-    #[test]
-    fn a11_legs_run_bitwise_with_observable_steals() {
-        // The bit-identity and steals>0 assertions live inside the
-        // ablation itself; this pins the figure shape.
-        let fig = a11_intra_step_stealing(true);
-        assert_eq!(fig.series.len(), 2);
-        for s in &fig.series {
-            assert_eq!(s.points.len(), 4, "four legs per scenario");
-        }
     }
 }

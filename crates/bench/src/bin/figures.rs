@@ -1,7 +1,7 @@
 //! Regenerate the paper's evaluation figures as markdown tables.
 //!
 //! ```text
-//! figures [fig8|fig9|fig10|fig11|fig12|fig13|fig14|a8|a9|a10|a11|a12|ablations|all] [--quick]
+//! figures [fig8|fig9|fig10|fig11|fig12|fig13|fig14|a8|a9|a10|a12|ablations|all] [--quick]
 //! ```
 //!
 //! Full mode uses the paper's exact workload parameters (400×400 and
@@ -10,7 +10,7 @@
 
 use nlheat_bench::{ablations, fig10, fig11, fig12, fig13, fig14, fig8, fig9};
 
-/// Every ablation, A1 through A12, in order.
+/// Every ablation in order: A1–A5, A5b, A6–A10, A10b and A12.
 fn print_ablations(quick: bool) {
     println!("{}", ablations::a1_partition_quality(quick).to_markdown());
     println!("{}", ablations::a2_overlap(quick).to_markdown());
@@ -24,10 +24,6 @@ fn print_ablations(quick: bool) {
     println!("{}", ablations::a9_ghost_aware_mu(quick).to_markdown());
     println!("{}", ablations::a10_memory_pressure(quick).to_markdown());
     println!("{}", ablations::a10b_plan_time_scaling(quick).to_markdown());
-    println!(
-        "{}",
-        ablations::a11_intra_step_stealing(quick).to_markdown()
-    );
     println!("{}", ablations::a12_repartition(quick).to_markdown());
 }
 
@@ -63,10 +59,6 @@ fn main() {
             println!("{}", ablations::a10_memory_pressure(quick).to_markdown());
             println!("{}", ablations::a10b_plan_time_scaling(quick).to_markdown());
         }
-        "a11" => println!(
-            "{}",
-            ablations::a11_intra_step_stealing(quick).to_markdown()
-        ),
         "a12" => println!("{}", ablations::a12_repartition(quick).to_markdown()),
         "ablations" => print_ablations(quick),
         "all" => {
@@ -81,7 +73,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown figure '{other}'");
-            eprintln!("usage: figures [fig8..fig14|a8|a9|a10|a11|a12|ablations|all] [--quick]");
+            eprintln!("usage: figures [fig8..fig14|a8|a9|a10|a12|ablations|all] [--quick]");
             std::process::exit(2);
         }
     }

@@ -95,13 +95,6 @@ pub struct DistConfig {
     /// times (the paper's mode) or deterministic modeled busy times
     /// ([`LbInput::Modeled`], the cross-substrate parity mode).
     pub lb_input: LbInput,
-    /// Decompose each SD's per-step compute into row-band tile tasks on
-    /// the worker pool so idle workers steal pieces of a straggler SD
-    /// *within* a timestep (intra-epoch balancing; the LB policies only
-    /// move SD ownership *between* epochs). The row-band split is
-    /// deterministic and every cell is written exactly once from `curr`,
-    /// so the field stays bit-identical to the unchunked path.
-    pub intra_step_stealing: bool,
     /// Per-locality memory capacities in bytes (`None` = unbounded),
     /// indexed by locality id. Empty = memory-blind planning (the
     /// historical behaviour). When any cap is set the [`EpochController`]
@@ -126,7 +119,6 @@ impl DistConfig {
             cluster_events: Vec::new(),
             net: NetSpec::Instant,
             lb_input: LbInput::Measured,
-            intra_step_stealing: false,
             memory_bytes: Vec::new(),
         }
     }
@@ -195,8 +187,7 @@ pub struct DistReport {
     /// A8/A9-style plots are drawn from.
     pub epoch_traces: Vec<EpochTrace>,
     /// Per-locality successful task steals in the worker pools (includes
-    /// injector grabs; peer-to-peer steals are what intra-step stealing
-    /// adds on a straggler step).
+    /// injector grabs).
     pub pool_steals: Vec<u64>,
     /// Per-locality dry victim scans (steal attempts that found nothing).
     pub pool_steal_fails: Vec<u64>,
@@ -289,34 +280,6 @@ impl Setup {
 struct SdCell {
     curr: RwLock<Tile>,
     next: Mutex<Tile>,
-}
-
-/// Raw pointer into an SD's `next` buffer, captured once per step so the
-/// intra-step row-band tasks can write their pairwise-disjoint rows
-/// without serializing on the tile lock. The safety argument lives at the
-/// capture site in the step loop.
-#[derive(Clone, Copy)]
-struct NextPtr(*mut f64);
-// SAFETY: the pointer is only dereferenced by chunk tasks writing
-// pairwise-disjoint regions, all of which complete before the step
-// barrier releases the buffer for the swap.
-unsafe impl Send for NextPtr {}
-unsafe impl Sync for NextPtr {}
-
-/// Split `rect` into horizontal bands of height ≤ `band`, top to bottom.
-/// Deterministic in the inputs and an exact cover of `rect`, so chunked
-/// execution visits every cell exactly once in a schedule-independent
-/// decomposition.
-fn row_bands(rect: &Rect, band: i64) -> Vec<Rect> {
-    debug_assert!(band >= 1);
-    let mut out = Vec::with_capacity(((rect.h + band - 1) / band).max(0) as usize);
-    let mut y = rect.y0;
-    while y < rect.y1() {
-        let h = band.min(rect.y1() - y);
-        out.push(Rect::new(rect.x0, y, rect.w, h));
-        y += h;
-    }
-    out
 }
 
 /// One owned SD with its task-facing state.
@@ -617,21 +580,6 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         let t = step as f64 * dt;
         let work_now = cfg.work_at(step);
         let mut step_futures: Vec<Future<()>> = Vec::new();
-        // Intra-step stealing: chop each SD's compute into row bands of
-        // this height and spawn every band as its own pool task, so idle
-        // workers steal pieces of a straggler SD *within* the timestep.
-        // The band height is a function of the config alone (never of
-        // timing), the bands partition the same cell set, and each cell
-        // is computed from the same `curr` snapshot with identical
-        // arithmetic — so the field is bit-identical to the unchunked
-        // path no matter which worker runs which band.
-        let band = (sds.sd / (2 * loc.pool().n_workers() as i64)).max(1);
-        // Futures of ghost-gated band tasks. Those are spawned from
-        // inside parcel continuations — after `step_futures` is sealed —
-        // so they are collected here and drained for a second barrier
-        // once `when_all(step_futures)` guarantees every continuation
-        // (and thus every spawn) has run.
-        let deferred_futs: Arc<Mutex<Vec<Future<()>>>> = Arc::new(Mutex::new(Vec::new()));
         for &sd in &owned {
             let unit = &states[&sd];
             let info = &comm[&sd];
@@ -644,77 +592,6 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
             // switched models): emulated by kernel repetition, so the
             // numerics stay bit-exact while the busy time shifts.
             let repeats = work_now.repeats(&sds, sd, loc.speed());
-            if cfg.intra_step_stealing {
-                // One raw pointer to this SD's next buffer per step (the
-                // swap below rotates the tiles between the lock slots, so
-                // the pointer cannot be cached across steps). Band tasks
-                // write through it lock-free; holding the mutex per band
-                // would serialize exactly the compute we are splitting.
-                let next_ptr = NextPtr(unit.cell.next.lock().data_mut().as_mut_ptr());
-                let make_chunk = |rect: Rect| {
-                    let cell = unit.cell.clone();
-                    let kernel = kernel.clone();
-                    let plan = kernel_plan.clone();
-                    let source = source.clone();
-                    let origin = unit.origin;
-                    move || {
-                        // bind the wrapper, not its field: edition-2021
-                        // disjoint capture would otherwise move the bare
-                        // `*mut f64` into the closure, which is !Send
-                        let next = next_ptr;
-                        let curr = cell.curr.read();
-                        // SAFETY: the bands of one step are pairwise
-                        // disjoint, `next` shares `curr`'s geometry, and
-                        // the step barriers below complete before the
-                        // swap reads the written cells.
-                        unsafe {
-                            kernel.apply_region_blocked_raw(
-                                &curr, next.0, &rect, &plan, origin, t, dt, &source, repeats,
-                            );
-                        }
-                    }
-                };
-                if info.foreign.is_empty() {
-                    for r in row_bands(&Rect::new(0, 0, sds.sd, sds.sd), band) {
-                        step_futures.push(spawner.async_call(make_chunk(r)));
-                    }
-                    continue;
-                }
-                let dst_rects: Vec<Rect> = info.foreign.iter().map(|&(_, r)| r).collect();
-                let cell_for_unpack = unit.cell.clone();
-                let unpack = move |payloads: Vec<Bytes>| {
-                    let mut curr = cell_for_unpack.curr.write();
-                    for (mut payload, rect) in payloads.into_iter().zip(dst_rects) {
-                        decode_f64_rows(&mut payload, curr.rect_rows_mut(&rect))
-                            .expect("corrupt ghost payload");
-                    }
-                };
-                let gated: Vec<Rect> = if cfg.overlap {
-                    if !info.split.case2.is_empty() {
-                        for r in row_bands(&info.split.case2, band) {
-                            step_futures.push(spawner.async_call(make_chunk(r)));
-                        }
-                    }
-                    info.split
-                        .case1
-                        .iter()
-                        .flat_map(|r| row_bands(r, band))
-                        .collect()
-                } else {
-                    row_bands(&Rect::new(0, 0, sds.sd, sds.sd), band)
-                };
-                let chunk_tasks: Vec<_> = gated.into_iter().map(&make_chunk).collect();
-                let deferred = deferred_futs.clone();
-                let spawn_in = spawner.clone();
-                step_futures.push(when_all(ghost_futs).then(&spawner, move |payloads| {
-                    unpack(payloads);
-                    let mut futs = deferred.lock();
-                    for task in chunk_tasks {
-                        futs.push(spawn_in.async_call(task));
-                    }
-                }));
-                continue;
-            }
             let make_task = |rects: Vec<Rect>| {
                 let cell = unit.cell.clone();
                 let kernel = kernel.clone();
@@ -768,12 +645,6 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
             }
         }
         when_all(step_futures).get();
-        // Second barrier for stealing mode: every ghost continuation has
-        // now run, so `deferred_futs` holds the complete set of gated
-        // band-task futures (empty when stealing is off or all SDs were
-        // fully local — `when_all` of nothing is immediately ready).
-        let deferred = std::mem::take(&mut *deferred_futs.lock());
-        when_all(deferred).get();
 
         // --- 4. swap buffers ---
         for &sd in &owned {
@@ -965,59 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn intra_step_stealing_matches_serial_bitwise() {
-        // Multi-core localities so the row-band tasks really execute on
-        // several workers — the decomposition must not perturb a bit.
-        let cluster = ClusterBuilder::new().uniform(2, 4).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 5);
-        cfg.intra_step_stealing = true;
-        let report = run_distributed(&cluster, &cfg);
-        assert_eq!(report.field, serial_field(16, 2.0, 5));
-        assert!(
-            report.pool_steals.iter().sum::<u64>() > 0,
-            "band tasks should move through the work-stealing scheduler"
-        );
-    }
-
-    #[test]
-    fn intra_step_stealing_straggler_sd_matches_serial_bitwise() {
-        // One 8x-slow SD on a single 4-worker locality: idle workers
-        // steal the straggler's bands, numerics stay pinned.
-        let cluster = ClusterBuilder::new().uniform(1, 4).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 4);
-        let mut work = vec![1.0; 16];
-        work[0] = 8.0;
-        cfg.work = WorkModel::PerSd(work);
-        cfg.intra_step_stealing = true;
-        let report = run_distributed(&cluster, &cfg);
-        assert_eq!(report.field, serial_field(16, 2.0, 4));
-    }
-
-    #[test]
-    fn intra_step_stealing_composes_with_lb() {
-        // Stealing within steps + migration between epochs: both on, the
-        // field still matches the serial solver bitwise.
-        let cluster = ClusterBuilder::new().uniform(2, 2).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 6);
-        cfg.lb = Some(LbSchedule::every(2));
-        cfg.intra_step_stealing = true;
-        let report = run_distributed(&cluster, &cfg);
-        assert_eq!(report.field, serial_field(16, 2.0, 6));
-    }
-
-    #[test]
-    fn intra_step_stealing_overlap_off_matches_serial_bitwise() {
-        // The non-overlap ablation gates *all* bands on the ghosts; the
-        // deferred-futures barrier must still cover them.
-        let cluster = ClusterBuilder::new().uniform(3, 2).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 4);
-        cfg.overlap = false;
-        cfg.intra_step_stealing = true;
-        let report = run_distributed(&cluster, &cfg);
-        assert_eq!(report.field, serial_field(16, 2.0, 4));
-    }
-
-    #[test]
     fn busy_ns_covers_every_balancing_window() {
         // Balancing every 2 of 12 steps resets the busy counter five
         // times; the report must still cover the whole run — exactly the
@@ -1036,7 +854,9 @@ mod tests {
 
     #[test]
     fn overlap_off_same_numerics() {
-        let cluster = ClusterBuilder::new().uniform(3, 1).build();
+        // Two-core localities: the ghost-gated whole-SD tasks of several
+        // SDs run on both workers of each pool.
+        let cluster = ClusterBuilder::new().uniform(3, 2).build();
         let mut cfg = DistConfig::new(16, 2.0, 4, 4);
         cfg.overlap = false;
         let report = run_distributed(&cluster, &cfg);
@@ -1073,7 +893,9 @@ mod tests {
 
     #[test]
     fn load_balancing_epoch_preserves_numerics() {
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
+        // Two-core localities, so migration lands SDs on multi-worker
+        // pools where one SD's case-2 task and case-1 continuation race.
+        let cluster = ClusterBuilder::new().uniform(2, 2).build();
         let mut cfg = DistConfig::new(16, 2.0, 4, 6);
         cfg.lb = Some(LbSchedule::every(2));
         // start from a deliberately imbalanced explicit assignment:

@@ -18,6 +18,8 @@
 //! * [`workload`] — heterogeneity models (per-node speed, per-SD work
 //!   factors such as the crack scenario of §7).
 
+#![forbid(unsafe_code)]
+
 pub mod balance;
 pub mod dist;
 pub mod ownership;

@@ -428,13 +428,6 @@ pub struct Scenario {
     pub record_error: bool,
     /// What the balancing policies plan from (measured or modeled busy).
     pub lb_input: LbInput,
-    /// Intra-step tile-task work stealing (real runtime only): decompose
-    /// each SD's step update into row-band tasks so idle pool workers
-    /// steal pieces of a straggler SD *within* a timestep. Orthogonal to
-    /// `lb` — stealing absorbs transients inside a node, migration fixes
-    /// persistent skew across nodes. Numerics are bit-identical either
-    /// way. The simulator's cost model ignores it.
-    pub intra_step_stealing: bool,
 }
 
 impl Scenario {
@@ -457,7 +450,6 @@ impl Scenario {
             lb: None,
             record_error: false,
             lb_input: LbInput::Measured,
-            intra_step_stealing: false,
         }
     }
 
@@ -527,12 +519,6 @@ impl Scenario {
     /// Select what the balancer plans from.
     pub fn with_lb_input(mut self, input: LbInput) -> Self {
         self.lb_input = input;
-        self
-    }
-
-    /// Toggle intra-step tile-task work stealing (real runtime only).
-    pub fn with_intra_step_stealing(mut self, on: bool) -> Self {
-        self.intra_step_stealing = on;
         self
     }
 
@@ -737,7 +723,6 @@ impl Scenario {
             cluster_events: self.cluster_events.clone(),
             net: self.net,
             lb_input: self.lb_input,
-            intra_step_stealing: self.intra_step_stealing,
             memory_bytes: if self.cluster.has_memory_caps() {
                 self.cluster.nodes.iter().map(|n| n.memory_bytes).collect()
             } else {
@@ -834,8 +819,7 @@ pub struct DistExtras {
     /// framing and the LB protocol, unlike the planner-grade counters).
     pub wire_cross_bytes: u64,
     /// Per-locality successful task steals in the worker pools over the
-    /// whole run (injector grabs plus peer-to-peer deque steals — the
-    /// intra-step stealing observability signal).
+    /// whole run (injector grabs plus peer-to-peer deque steals).
     pub pool_steals: Vec<u64>,
     /// Per-locality dry victim scans (steal attempts that found nothing).
     pub pool_steal_fails: Vec<u64>,

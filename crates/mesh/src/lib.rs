@@ -16,6 +16,8 @@
 //! * **tile storage** — SD-local shifted by `+halo`, used only inside
 //!   [`tile::Tile`].
 
+#![forbid(unsafe_code)]
+
 pub mod cases;
 pub mod grid;
 pub mod halo;

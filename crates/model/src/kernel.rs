@@ -185,55 +185,6 @@ impl NonlocalKernel {
     ) {
         debug_assert_eq!(curr.stride(), next.stride());
         debug_assert_eq!(curr.halo(), next.halo());
-        // SAFETY: `next` is exclusively borrowed with geometry matching
-        // `curr`, so the single-writer contract of the raw path holds
-        // trivially.
-        unsafe {
-            self.apply_region_blocked_raw(
-                curr,
-                next.data_mut().as_mut_ptr(),
-                region,
-                plan,
-                origin,
-                t,
-                dt,
-                source,
-                repeats,
-            );
-        }
-    }
-
-    /// [`Self::apply_region_blocked`] writing through a raw pointer to the
-    /// destination tile's storage — the substrate for intra-step work
-    /// stealing, where several pool workers update pairwise-disjoint row
-    /// bands of one SD's `next` tile concurrently without a lock around
-    /// the compute.
-    ///
-    /// The per-cell arithmetic (run order, accumulation order, the single
-    /// write per cell) is byte-for-byte the safe path's, so any disjoint
-    /// decomposition of a region produces a bit-identical tile regardless
-    /// of which thread computed which band.
-    ///
-    /// # Safety
-    /// - `next_data` must point to the storage of a live tile with the
-    ///   same stride and halo as `curr`, and stay valid for the call.
-    /// - Concurrent callers targeting the same tile must cover pairwise
-    ///   disjoint regions, and nothing may read the written cells until
-    ///   every caller returns.
-    /// - `region` must lie within the tile interior (debug-asserted).
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn apply_region_blocked_raw(
-        &self,
-        curr: &Tile,
-        next_data: *mut f64,
-        region: &Rect,
-        plan: &KernelPlan,
-        origin: (i64, i64),
-        t: f64,
-        dt: f64,
-        source: &SourceFn,
-        repeats: u32,
-    ) {
         debug_assert!(curr.interior_rect().contains_rect(region));
         debug_assert!(self.stencil.reach <= curr.halo());
         debug_assert_eq!(
@@ -242,6 +193,7 @@ impl NonlocalKernel {
             "plan does not cover this kernel's stencil"
         );
         let data = curr.data();
+        let out = next.data_mut();
         let weights = &self.weights;
         let repeats = repeats.max(1);
         for lj in region.y0..region.y1() {
@@ -268,10 +220,9 @@ impl NonlocalKernel {
                     interaction = std::hint::black_box(acc);
                 }
                 let rhs = source(t, gi, gj) + self.c * interaction;
-                // SAFETY: same index the safe path writes via `Tile::set`;
-                // in-bounds because region ⊆ interior (asserted above) and
-                // the caller guarantees matching geometry.
-                unsafe { *next_data.add(base as usize) = ui + dt * rhs };
+                // `next` shares `curr`'s geometry, so this is the index
+                // `Tile::set(li, lj, ..)` writes.
+                out[base as usize] = ui + dt * rhs;
             }
         }
     }

@@ -17,6 +17,8 @@
 //! assert!(err.total() < 1e-2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod influence;
 pub mod kernel;
 pub mod manufactured;

@@ -31,6 +31,8 @@
 //!   `DistConfig`, examples and benches all use to select a model
 //!   uniformly; [`NetSpec::build`] instantiates the trait object.
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 /// Wall-clock ↔ model-time conversion. The one seam where the fabric's

@@ -25,6 +25,8 @@
 //! ownership — its edge cut over this graph — and not just one-off
 //! migration bytes.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod bisect;
 pub mod coarsen;

@@ -20,6 +20,8 @@
 //! [`RunReport`](nlheat_core::scenario::RunReport) as the real runtime.
 //! No wall-clock enters the simulation: it is fully deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 mod engine;
 mod scenario;

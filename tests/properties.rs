@@ -414,8 +414,12 @@ proptest! {
 // The hierarchical planner's degenerate case: on a cluster whose comm
 // model carries no topology (every pair of ranks is one flat tier) and
 // with no memory capacities attached, `LbSpec::Hierarchical` must
-// delegate to its inner leaf — plans byte-identical to running the leaf
-// directly, so single-rack configurations pay nothing for the wrapper.
+// delegate to its inner leaf at the hierarchy's own λ — plans
+// byte-identical to running the leaf at that λ directly, so single-rack
+// configurations pay nothing for the wrapper. The wrapped tree plans at
+// λ = 0 and the link is slow (2 kB/s, about 0.15 s per move against
+// per-SD relief from milliseconds to seconds), so the λ gate closes for
+// part of the sampled range and a hierarchy that dropped its λ diverges.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
@@ -436,12 +440,12 @@ proptest! {
         let busy_vec: Vec<f64> =
             (0..n_nodes as usize).map(|i| busy[i % busy.len()]).collect();
         let net = LbNetwork::new(
-            CommCost::from_spec(&NetSpec::shared(1e-4, 1e8)),
+            CommCost::from_spec(&NetSpec::shared(1e-4, 2e3)),
             4 * 4 * 8 + 24,
         );
         let metrics = compute_metrics(&own.counts(), &busy_vec);
         let flat = LbSpec::tree(lambda).build().plan(&own, &metrics, &net);
-        let hier = LbSpec::hierarchical(LbSpec::tree(lambda), 1.5)
+        let hier = LbSpec::hierarchical(LbSpec::tree(0.0), lambda)
             .build()
             .plan(&own, &metrics, &net);
         prop_assert_eq!(&flat.moves, &hier.moves, "λ={}", lambda);
